@@ -12,14 +12,12 @@ from .classifier import (
     TrainConfig,
     accuracy,
     load_model,
-    predict,
     save_model,
     train_ovr,
 )
 from .codebook import (
     Codebook,
     build_random_codebook,
-    distances_to_words,
     load_codebook,
     save_codebook,
 )
@@ -36,11 +34,9 @@ from .corpus import (
 from .encoding import (
     BowVector,
     EncodingParams,
-    average_pool,
     encode_image,
     hard_assign,
     load_bows,
-    max_pool,
     save_bows,
     soft_assign,
 )

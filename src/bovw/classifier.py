@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import BowVector
-
 MODEL_MAGIC = b"BVWM"
 MODEL_VERSION = 1
 
@@ -48,19 +46,15 @@ class LinearModel:
             raise ValueError("biases must be (C,)")
 
 
-def _as_matrix(vectors: Sequence[BowVector] | Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        mat = np.asarray(vectors, dtype=np.float64)
-    else:
-        rows = [v.h if isinstance(v, BowVector) else np.asarray(v) for v in vectors]
-        mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
-    return mat
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-D (n, k) feature matrix")
+    return x
 
 
 def train_ovr(
-    vectors: Sequence[BowVector] | np.ndarray,
+    x: np.ndarray,
     labels: Sequence[str],
     cfg: TrainConfig = TrainConfig(),
 ) -> LinearModel:
@@ -71,7 +65,7 @@ def train_ovr(
     order is reshuffled each epoch from the seeded generator. Deterministic:
     the same data and config always give the same model.
     """
-    x = _as_matrix(vectors)
+    x = _as_matrix(x)
     n, k = x.shape
     if n == 0:
         raise ValueError("empty training set")
@@ -109,8 +103,8 @@ def train_ovr(
     return LinearModel(weights=w, biases=b, labels=classes)
 
 
-def decision_scores(model: LinearModel, vectors: Sequence[BowVector] | np.ndarray) -> np.ndarray:
-    x = _as_matrix(vectors)
+def decision_scores(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    x = _as_matrix(x)
     if x.shape[1] != model.weights.shape[1]:
         raise ValueError(
             f"feature dim {x.shape[1]} does not match model dim {model.weights.shape[1]}"
@@ -118,20 +112,10 @@ def decision_scores(model: LinearModel, vectors: Sequence[BowVector] | np.ndarra
     return x @ model.weights.T + model.biases
 
 
-def predict(model: LinearModel, v: BowVector | np.ndarray) -> str:
-    """Label of the highest-scoring class; ties go to the lowest class index."""
-    single = v.h if isinstance(v, BowVector) else np.asarray(v, dtype=np.float64)
-    scores = decision_scores(model, single[np.newaxis])[0]
-    return model.labels[int(np.argmax(scores))]
-
-
-def accuracy(
-    model: LinearModel,
-    vectors: Sequence[BowVector] | np.ndarray,
-    labels: Sequence[str],
-) -> float:
-    """Fraction of predictions matching the true labels."""
-    x = _as_matrix(vectors)
+def accuracy(model: LinearModel, x: np.ndarray, labels: Sequence[str]) -> float:
+    """Fraction of predictions matching the true labels. A row predicts the
+    label of its highest-scoring class; ties go to the lowest class index."""
+    x = _as_matrix(x)
     if x.shape[0] == 0 or len(labels) == 0:
         raise ValueError("empty evaluation set")
     if x.shape[0] != len(labels):
@@ -160,16 +144,19 @@ def load_model(path: str | Path) -> LinearModel:
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a linear model file")
-    version, n_cls, k = struct.unpack_from("<3I", data, 4)
-    if version != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    pos = 16
-    labels = []
-    for _ in range(n_cls):
-        (n,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        labels.append(data[pos : pos + n].decode("utf-8"))
-        pos += n
+    try:
+        version, n_cls, k = struct.unpack_from("<3I", data, 4)
+        if version != MODEL_VERSION:
+            raise ValueError(f"{path}: unsupported model version {version}")
+        pos = 16
+        labels = []
+        for _ in range(n_cls):
+            (n,) = struct.unpack_from("<I", data, pos)
+            pos += 4
+            labels.append(data[pos : pos + n].decode("utf-8"))
+            pos += n
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated model header") from exc
     expected = pos + n_cls * (k + 1) * 8
     if len(data) != expected:
         raise ValueError(f"{path}: truncated model ({len(data)} bytes, expected {expected})")

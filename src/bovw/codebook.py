@@ -92,15 +92,6 @@ def build_random_codebook(
     )
 
 
-def distances_to_words(cb: Codebook, descriptor: np.ndarray) -> np.ndarray:
-    """Euclidean distance from one descriptor to every word, as (k,) floats."""
-    d = np.asarray(descriptor, dtype=np.float64)
-    if d.shape != (DESCRIPTOR_DIMS,):
-        raise ValueError(f"descriptor must have shape ({DESCRIPTOR_DIMS},)")
-    diff = cb.words.astype(np.float64) - d
-    return np.sqrt(np.einsum("kc,kc->k", diff, diff))
-
-
 def save_codebook(cb: Codebook, path: str | Path) -> None:
     """Binary codebook file: header plus the k x 128 byte word matrix."""
     out = bytearray()
@@ -119,20 +110,23 @@ def load_codebook(path: str | Path) -> Codebook:
     data = Path(path).read_bytes()
     if data[:4] != CODEBOOK_MAGIC:
         raise ValueError(f"{path}: not a codebook file")
-    version, k, dims = struct.unpack_from("<3I", data, 4)
-    if version != CODEBOOK_VERSION:
-        raise ValueError(f"{path}: unsupported codebook version {version}")
-    if dims != DESCRIPTOR_DIMS:
-        raise ValueError(f"{path}: unexpected word dims {dims}")
-    (seed,) = struct.unpack_from("<q", data, 16)
-    pos = 24
-    source_name, pos = _unpack_str(data, pos)
-    (n_classes,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    classes = []
-    for _ in range(n_classes):
-        label, pos = _unpack_str(data, pos)
-        classes.append(label)
+    try:
+        version, k, dims = struct.unpack_from("<3I", data, 4)
+        if version != CODEBOOK_VERSION:
+            raise ValueError(f"{path}: unsupported codebook version {version}")
+        if dims != DESCRIPTOR_DIMS:
+            raise ValueError(f"{path}: unexpected word dims {dims}")
+        (seed,) = struct.unpack_from("<q", data, 16)
+        pos = 24
+        source_name, pos = _unpack_str(data, pos)
+        (n_classes,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        classes = []
+        for _ in range(n_classes):
+            label, pos = _unpack_str(data, pos)
+            classes.append(label)
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated codebook header") from exc
     expected = pos + k * dims
     if len(data) != expected:
         raise ValueError(f"{path}: truncated codebook ({len(data)} bytes, expected {expected})")

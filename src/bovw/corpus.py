@@ -69,12 +69,6 @@ class DatasetManifest:
     def class_labels(self) -> list[str]:
         return sorted({e.label for e in self.entries})
 
-    def class_index(self, label: str) -> int:
-        return self.class_labels.index(label)
-
-    def entries_for_class(self, label: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.label == label]
-
     def resolve(self, entry: ManifestEntry) -> Path:
         """Resolve an entry's image path relative to the manifest location."""
         p = Path(entry.path)

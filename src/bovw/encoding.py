@@ -58,44 +58,32 @@ class BowVector:
         return len(self.h)
 
 
-def soft_assign(profile: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-kernel soft assignment of one point across all words.
+def soft_assign(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-kernel soft assignment, row-wise over squared distances.
 
-    alphas[j] = exp(-d_j^2 / (2 sigma^2)) normalized to sum to 1. The
-    Gaussian normalization constant cancels in the ratio and is omitted;
-    the minimum squared distance is subtracted before exponentiation so the
+    Each row of ``d2`` holds one point's squared distances to every word
+    (last axis); its weights exp(-d^2 / (2 sigma^2)) are normalized to sum
+    to 1. The Gaussian normalization constant cancels in the ratio and is
+    omitted; the row minimum is subtracted before exponentiation so the
     largest term is exp(0) and the denominator can never underflow to zero.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    d2 = np.asarray(profile, dtype=np.float64) ** 2
-    shifted = d2 - d2.min()
-    weights = np.exp(-shifted / (2.0 * sigma * sigma))
-    return weights / weights.sum()
+    d2 = np.asarray(d2, dtype=np.float64)
+    rows = d2 - d2.min(axis=-1, keepdims=True)
+    rows *= -1.0 / (2.0 * sigma * sigma)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
 
 
-def hard_assign(profile: np.ndarray) -> np.ndarray:
-    """One-hot row at the minimum distance; ties break to the lowest index."""
-    profile = np.asarray(profile, dtype=np.float64)
-    row = np.zeros(len(profile), dtype=np.float64)
-    row[int(np.argmin(profile))] = 1.0
-    return row
-
-
-def max_pool(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Elementwise maximum over assignment rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError("need at least one assignment row")
-    return rows.max(axis=0)
-
-
-def average_pool(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Arithmetic mean over assignment rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError("need at least one assignment row")
-    return rows.mean(axis=0)
+def hard_assign(d2: np.ndarray) -> np.ndarray:
+    """One-hot rows at the minimum squared distance along the last axis;
+    ties break to the lowest index."""
+    d2 = np.asarray(d2, dtype=np.float64)
+    rows = np.zeros_like(d2)
+    np.put_along_axis(rows, np.argmin(d2, axis=-1)[..., np.newaxis], 1.0, axis=-1)
+    return rows
 
 
 def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> BowVector:
@@ -110,21 +98,21 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> Bow
     w_sq = np.einsum("kc,kc->k", words, words)
     n = len(ds)
     acc = np.zeros(cb.k, dtype=np.float64)
-    inv_two_sigma_sq = 1.0 / (2.0 * params.sigma * params.sigma)
 
     for start in range(0, n, _CHUNK):
         pts = ds.descriptors[start : start + _CHUNK].astype(np.float64)
         p_sq = np.einsum("bc,bc->b", pts, pts)
-        # byte-valued inputs keep every term integer-exact in float64, so the
-        # expanded form equals the direct sum of squared differences
-        d2 = p_sq[:, np.newaxis] + w_sq[np.newaxis, :] - 2.0 * (pts @ words.T)
-        np.maximum(d2, 0.0, out=d2)
+        # p^2 + w^2 - 2 p.w, built in place: byte inputs keep every term an
+        # integer below 2^24, so any summation order gives the exact squared
+        # distance, bit for bit
+        d2 = pts @ words.T
+        d2 *= -2.0
+        d2 += p_sq[:, np.newaxis]
+        d2 += w_sq
         if params.assignment == "soft":
-            rows = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) * inv_two_sigma_sq)
-            rows /= rows.sum(axis=1, keepdims=True)
+            rows = soft_assign(d2, params.sigma)
         else:
-            rows = np.zeros_like(d2)
-            rows[np.arange(len(d2)), np.argmin(d2, axis=1)] = 1.0
+            rows = hard_assign(d2)
         if params.pooling == "max":
             np.maximum(acc, rows.max(axis=0), out=acc)
         else:
@@ -160,6 +148,8 @@ def load_bows(path: str | Path) -> tuple[np.ndarray, str]:
     data = Path(path).read_bytes()
     if data[:4] != BOW_MAGIC:
         raise ValueError(f"{path}: not a bag-of-words batch file")
+    if len(data) < 20:
+        raise ValueError(f"{path}: truncated batch header")
     version, count, k, id_len = struct.unpack_from("<4I", data, 4)
     if version != BOW_VERSION:
         raise ValueError(f"{path}: unsupported batch version {version}")

@@ -26,6 +26,8 @@ BYTE_SCALE = 512.0
 
 CACHE_MAGIC = b"BVWD"
 CACHE_VERSION = 1
+# one cache record: keypoint (x, y) then the descriptor bytes, packed
+_CACHE_RECORD = np.dtype([("xy", "<u4", (2,)), ("desc", "u1", (DESCRIPTOR_DIMS,))])
 
 
 @dataclass(frozen=True)
@@ -193,11 +195,10 @@ def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParam
     header = CACHE_MAGIC + struct.pack(
         "<5I", CACHE_VERSION, n, DESCRIPTOR_DIMS, params.stride, params.patch_size
     )
-    body = bytearray()
-    for i in range(n):
-        body += struct.pack("<2I", int(ds.keypoints[i, 0]), int(ds.keypoints[i, 1]))
-        body += ds.descriptors[i].tobytes()
-    Path(path).write_bytes(header + bytes(body))
+    records = np.empty(n, dtype=_CACHE_RECORD)
+    records["xy"] = ds.keypoints
+    records["desc"] = ds.descriptors
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def load_descriptor_cache(
@@ -206,6 +207,8 @@ def load_descriptor_cache(
     data = Path(path).read_bytes()
     if data[:4] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a descriptor cache file")
+    if len(data) < 24:
+        raise ValueError(f"{path}: truncated cache header")
     version, n, dims, stride, patch = struct.unpack_from("<5I", data, 4)
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
@@ -216,15 +219,12 @@ def load_descriptor_cache(
             f"{path}: cache built with stride={stride}, patch={patch}; "
             f"requested stride={params.stride}, patch={params.patch_size}"
         )
-    record = 8 + DESCRIPTOR_DIMS
-    expected = 24 + n * record
+    expected = 24 + n * _CACHE_RECORD.itemsize
     if len(data) != expected:
         raise ValueError(f"{path}: truncated cache ({len(data)} bytes, expected {expected})")
-    keypoints = np.empty((n, 2), dtype=np.int32)
-    descriptors = np.empty((n, DESCRIPTOR_DIMS), dtype=np.uint8)
-    pos = 24
-    for i in range(n):
-        keypoints[i] = struct.unpack_from("<2I", data, pos)
-        descriptors[i] = np.frombuffer(data, dtype=np.uint8, count=DESCRIPTOR_DIMS, offset=pos + 8)
-        pos += record
-    return DescriptorSet(keypoints=keypoints, descriptors=descriptors, source_image=source_image)
+    records = np.frombuffer(data, dtype=_CACHE_RECORD, count=n, offset=24)
+    return DescriptorSet(
+        keypoints=records["xy"].astype(np.int32),
+        descriptors=records["desc"].copy(),
+        source_image=source_image,
+    )

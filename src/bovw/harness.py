@@ -22,7 +22,7 @@ import numpy as np
 from .classifier import TrainConfig, accuracy, train_ovr
 from .codebook import Codebook, build_random_codebook
 from .corpus import DatasetManifest, ManifestEntry, load_image, select_classes
-from .encoding import BowVector, EncodingParams, encode_image
+from .encoding import EncodingParams, encode_image
 from .features import (
     DescriptorSet,
     GridParams,
@@ -146,6 +146,13 @@ class DescriptorStore:
 
     Optionally persists per-image cache files so repeated CLI runs skip
     extraction. Warm the store before handing it to concurrent trials.
+
+    The store also keeps one encoding slot: the latest manifest encoded by
+    ``encode``, as its per-image k-vectors, keyed by the manifest, the
+    codebook id and the encoding params. Trials that share a dictionary
+    (every training size of one run seed) thus encode the target once.
+    Concurrent trials may each encode on a miss; the slot is replaced
+    whole, never mutated, so every caller reads a complete encoding.
     """
 
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
@@ -154,6 +161,7 @@ class DescriptorStore:
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._memory: dict[Path, DescriptorSet] = {}
+        self._encoding: tuple[tuple, list[np.ndarray]] | None = None
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
         path = manifest.resolve(entry)
@@ -178,16 +186,29 @@ class DescriptorStore:
         """Descriptor sets for every entry, in manifest order."""
         return [self.get(manifest, e) for e in manifest.entries]
 
+    def encode(
+        self, manifest: DatasetManifest, cb: Codebook, params: EncodingParams
+    ) -> list[np.ndarray]:
+        """Pooled k-vector of every entry, in manifest order, through the
+        one-slot encoding memo."""
+        key = (manifest, manifest.base_dir, cb.codebook_id, params)
+        slot = self._encoding
+        if slot is None or slot[0] != key:
+            bows = [encode_image(self.get(manifest, e), cb, params).h for e in manifest.entries]
+            slot = self._encoding = (key, bows)
+        return slot[1]
+
 
 def split_balanced(
     manifest: DatasetManifest, n_train: int, seed: int
-) -> tuple[DatasetManifest, DatasetManifest]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Seeded balanced split: exactly n_train images per class in train,
-    every remaining image in test. Entry order follows the manifest."""
+    every remaining image in test. Returns ascending entry indices of the
+    train and the test images."""
     if n_train < 1:
         raise ValueError("n_train must be >= 1")
     rng = np.random.default_rng(seed)
-    train_idx: set[int] = set()
+    in_train = np.zeros(len(manifest), dtype=bool)
     by_class: dict[str, list[int]] = {}
     for i, e in enumerate(manifest.entries):
         by_class.setdefault(e.label, []).append(i)
@@ -199,22 +220,8 @@ def split_balanced(
                 f"need more than n_train={n_train}"
             )
         perm = rng.permutation(len(idxs))
-        train_idx.update(idxs[p] for p in perm[:n_train])
-    train_entries = tuple(e for i, e in enumerate(manifest.entries) if i in train_idx)
-    test_entries = tuple(e for i, e in enumerate(manifest.entries) if i not in train_idx)
-    train = DatasetManifest(manifest.name, train_entries, base_dir=manifest.base_dir)
-    test = DatasetManifest(manifest.name, test_entries, base_dir=manifest.base_dir)
-    return train, test
-
-
-def _encode_manifest(
-    manifest: DatasetManifest,
-    cb: Codebook,
-    params: PipelineParams,
-    store: DescriptorStore,
-) -> tuple[list[BowVector], list[str]]:
-    bows = [encode_image(store.get(manifest, e), cb, params.encoding) for e in manifest.entries]
-    return bows, [e.label for e in manifest.entries]
+        in_train[[idxs[p] for p in perm[:n_train]]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 def run_trial(
@@ -227,12 +234,12 @@ def run_trial(
 ) -> TrialResult:
     """Encode the target with the given dictionary (native or foreign),
     train on a balanced split and return test accuracy."""
-    train_m, test_m = split_balanced(target, n_train, run_seed + SPLIT_SEED_OFFSET)
-    train_bows, train_labels = _encode_manifest(train_m, dictionary, params, store)
-    test_bows, test_labels = _encode_manifest(test_m, dictionary, params, store)
+    bows = store.encode(target, dictionary, params.encoding)
+    labels = [e.label for e in target.entries]
+    train_idx, test_idx = split_balanced(target, n_train, run_seed + SPLIT_SEED_OFFSET)
     cfg = TrainConfig(c_reg=params.c_reg, epochs=params.epochs, seed=run_seed + TRAIN_SEED_OFFSET)
-    model = train_ovr(train_bows, train_labels, cfg)
-    acc = accuracy(model, test_bows, test_labels)
+    model = train_ovr(np.array([bows[i] for i in train_idx]), [labels[i] for i in train_idx], cfg)
+    acc = accuracy(model, np.array([bows[i] for i in test_idx]), [labels[i] for i in test_idx])
     logger.info(
         "trial seed=%d n_train=%d dict=%s acc=%.4f",
         run_seed, n_train, dictionary.codebook_id, acc,
@@ -350,7 +357,8 @@ def cross_base_experiment(
     For every n_train and run seed, the target is encoded with a dictionary
     built either over its own images ("native") or over ``dict_source``
     ("cross"), then classified on a balanced split. One fresh dictionary is
-    built per run seed and reused across training sizes. Rows are ordered by
+    built per run seed and reused across training sizes; trials run seed by
+    seed, so the target is encoded once per dictionary. Rows are ordered by
     (configuration, n_train).
     """
     store = store if store is not None else DescriptorStore(params.grid)
@@ -365,12 +373,12 @@ def cross_base_experiment(
     rows: list[SummaryRow] = []
     for _, source in configs:
         dicts = _dictionaries_for_runs(source, spec.run_seeds, params, store)
-        for n_train in n_train_values:
-            jobs = [(dicts[seed], target, n_train, seed) for seed in spec.run_seeds]
-            trials = _run_trials(jobs, params, store)
-            rows.append(
-                _summarize("crossbase", source.name, "all", target.name, n_train, params, trials)
-            )
+        jobs = [(dicts[seed], target, n_train, seed)
+                for seed in spec.run_seeds for n_train in n_train_values]
+        trials = _run_trials(jobs, params, store)
+        for j, n_train in enumerate(n_train_values):
+            rows.append(_summarize("crossbase", source.name, "all", target.name, n_train, params,
+                                   trials[j :: len(n_train_values)]))
     return rows
 
 

@@ -7,7 +7,6 @@ from bovw.classifier import (
     accuracy,
     decision_scores,
     load_model,
-    predict,
     save_model,
     train_ovr,
 )
@@ -76,29 +75,33 @@ class TestTrainOvr:
 
 
 class TestPredict:
+    """The prediction rule accuracy scores: argmax of the decision scores,
+    ties to the lowest class index."""
+
     def test_favoring_weights(self):
         model = LinearModel(
             weights=np.array([[1.0, 0.0], [0.0, 1.0]]),
             biases=np.zeros(2),
             labels=["first", "second"],
         )
-        assert predict(model, np.array([3.0, 1.0])) == "first"
-        assert predict(model, np.array([1.0, 3.0])) == "second"
+        assert accuracy(model, np.array([[3.0, 1.0], [1.0, 3.0]]), ["first", "second"]) == 1.0
 
     def test_all_equal_scores_break_to_first_label(self):
         model = LinearModel(weights=np.zeros((3, 4)), biases=np.zeros(3),
                             labels=["aa", "bb", "cc"])
-        assert predict(model, np.ones(4)) == "aa"
+        assert accuracy(model, np.ones((2, 4)), ["aa", "aa"]) == 1.0
+        assert accuracy(model, np.ones((2, 4)), ["bb", "cc"]) == 0.0
 
     def test_training_set_predictions_match(self):
         x, y = one_hot_toy(seed=7)
         model = train_ovr(x, y, TrainConfig())
-        assert [predict(model, v) for v in x] == y
+        pred = np.argmax(decision_scores(model, x), axis=1)
+        assert [model.labels[i] for i in pred] == y
 
     def test_dimension_mismatch(self):
         model = LinearModel(weights=np.zeros((2, 4)), biases=np.zeros(2), labels=["a", "b"])
         with pytest.raises(ValueError, match="dim"):
-            predict(model, np.ones(3))
+            accuracy(model, np.ones((1, 3)), ["a"])
 
     def test_scaling_inputs_and_inverse_weights_preserves_predictions(self):
         x, y = one_hot_toy(jitter=0.4, seed=9)

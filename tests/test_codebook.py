@@ -2,25 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from bovw.codebook import (
     Codebook,
     build_random_codebook,
-    distances_to_words,
     load_codebook,
     save_codebook,
 )
 
 from conftest import random_descriptor_set
-from oracles import euclidean
-
-
-def single_word(values) -> Codebook:
-    w = np.asarray(values, dtype=np.uint8).reshape(1, 128)
-    return Codebook(words=w, source_name="test", source_classes=(), seed=0)
 
 
 def rows_as_set(mat: np.ndarray) -> set[bytes]:
@@ -84,53 +74,6 @@ class TestBuildRandomCodebook:
         bound = 3 * math.sqrt(n_seeds * 0.1 * 0.9)
         for i, c in counts.items():
             assert abs(c - expected) <= bound, (i, c)
-
-
-class TestDistances:
-    def test_identical_is_zero(self):
-        d = np.full(128, 7, np.uint8)
-        cb = single_word(d)
-        assert distances_to_words(cb, d)[0] == 0.0
-
-    def test_closed_form_extremes(self):
-        cb = single_word(np.full(128, 255, np.uint8))
-        dist = distances_to_words(cb, np.zeros(128, np.uint8))[0]
-        assert dist == pytest.approx(255.0 * math.sqrt(128.0), abs=1e-9)
-
-    def test_symmetry_by_swapping(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 256, 128).astype(np.uint8)
-        b = rng.integers(0, 256, 128).astype(np.uint8)
-        assert distances_to_words(single_word(a), b)[0] == distances_to_words(single_word(b), a)[0]
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(1)
-        words = rng.integers(0, 256, (5, 128)).astype(np.uint8)
-        cb = Codebook(words=words, source_name="t", source_classes=(), seed=0)
-        q = rng.integers(0, 256, 128).astype(np.uint8)
-        got = distances_to_words(cb, q)
-        for j in range(5):
-            assert got[j] == pytest.approx(euclidean(q, words[j]), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        cb = single_word(np.zeros(128, np.uint8))
-        with pytest.raises(ValueError, match="shape"):
-            distances_to_words(cb, np.zeros(64, np.uint8))
-
-    @settings(max_examples=60)
-    @given(
-        a=arrays(np.uint8, 128, elements=st.integers(0, 255)),
-        b=arrays(np.uint8, 128, elements=st.integers(0, 255)),
-        c=arrays(np.uint8, 128, elements=st.integers(0, 255)),
-    )
-    def test_metric_properties(self, a, b, c):
-        dab = distances_to_words(single_word(b), a)[0]
-        dba = distances_to_words(single_word(a), b)[0]
-        dac = distances_to_words(single_word(c), a)[0]
-        dbc = distances_to_words(single_word(c), b)[0]
-        assert dab == dba
-        assert dab >= 0.0
-        assert dac <= dab + dbc + 1e-9
 
 
 class TestCodebookIO:

@@ -57,7 +57,7 @@ class TestManifest:
         p = write(tmp_path / "m.manifest", "\n".join(lines) + "\n")
         m = load_manifest(p)
         assert len(m.class_labels) == 101
-        assert m.class_index("class_000") == 0
+        assert m.class_labels[0] == "class_000"
 
     def test_round_trip(self, tmp_path):
         p = write(tmp_path / "m.manifest", "x.pgm\tb\ny.pgm\ta\nz.pgm\tb\n")

@@ -9,12 +9,10 @@ from bovw.codebook import Codebook
 from bovw.encoding import (
     BowVector,
     EncodingParams,
-    average_pool,
     encode_image,
     export_bows_csv,
     hard_assign,
     load_bows,
-    max_pool,
     save_bows,
     soft_assign,
 )
@@ -33,22 +31,24 @@ def make_codebook(words: np.ndarray) -> Codebook:
 
 
 class TestSoftAssign:
+    """Inputs are squared distances, so each case squares its profile."""
+
     def test_single_word(self):
-        assert soft_assign(np.array([123.4]), 60.0) == pytest.approx([1.0])
+        assert soft_assign(np.array([123.4]) ** 2, 60.0) == pytest.approx([1.0])
 
     def test_equal_distances_split_evenly(self):
-        assert soft_assign(np.array([7.0, 7.0]), 60.0) == pytest.approx([0.5, 0.5])
+        assert soft_assign(np.array([7.0, 7.0]) ** 2, 60.0) == pytest.approx([0.5, 0.5])
 
     def test_scalar_oracle_value(self):
         # distances (0, 60) at sigma 60: ratio of exp(0) and exp(-1/2)
         e = math.exp(-0.5)
         want = [1.0 / (1.0 + e), e / (1.0 + e)]
-        got = soft_assign(np.array([0.0, 60.0]), 60.0)
+        got = soft_assign(np.array([0.0, 60.0]) ** 2, 60.0)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_survives_huge_distances(self):
         # raw kernels underflow; the min-shift keeps the ratio well-defined
-        row = soft_assign(np.array([2800.0, 2884.0, 2900.0]), 60.0)
+        row = soft_assign(np.array([2800.0, 2884.0, 2900.0]) ** 2, 60.0)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert row[0] > row[1] > row[2]
 
@@ -59,21 +59,21 @@ class TestSoftAssign:
     @settings(max_examples=200)
     @given(profile=profiles, sigma=st.floats(min_value=0.5, max_value=200.0))
     def test_rows_normalize(self, profile, sigma):
-        row = soft_assign(np.array(profile), sigma)
+        row = soft_assign(np.array(profile) ** 2, sigma)
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
         assert (row >= 0.0).all()
 
     @settings(max_examples=200)
     @given(profile=profiles, sigma=st.floats(min_value=0.5, max_value=200.0))
     def test_prefactor_cancels(self, profile, sigma):
-        bare = soft_assign(np.array(profile), sigma)
+        bare = soft_assign(np.array(profile) ** 2, sigma)
         full = soft_row(profile, sigma, with_prefactor=True)
         assert np.abs(bare - np.array(full)).max() <= 1e-12
 
     @settings(max_examples=100)
     @given(profile=profiles)
     def test_weakly_monotone_in_distance(self, profile):
-        row = soft_assign(np.array(profile), 60.0)
+        row = soft_assign(np.array(profile) ** 2, 60.0)
         for a in range(len(profile)):
             for b in range(len(profile)):
                 if profile[a] < profile[b]:
@@ -87,7 +87,7 @@ class TestSoftAssign:
         # beyond d^2/(2 sigma^2) ~ 745 the kernel underflows to exactly 0.0
         # in float64 and distinct far distances tie; restrict to distances
         # whose kernels stay normal floats and are separated by >= 1e-3
-        row = soft_assign(np.array(profile), 60.0)
+        row = soft_assign(np.array(profile) ** 2, 60.0)
         for a in range(len(profile)):
             for b in range(len(profile)):
                 if profile[a] < profile[b]:
@@ -95,27 +95,27 @@ class TestSoftAssign:
 
     def test_sigma_to_zero_approaches_hard(self):
         d = np.array([10.0, 10.5, 40.0])
-        soft = soft_assign(d, 1e-3)
-        assert np.abs(soft - hard_assign(d)).max() <= 1e-12
+        soft = soft_assign(d**2, 1e-3)
+        assert np.abs(soft - hard_assign(d**2)).max() <= 1e-12
 
     def test_sigma_to_inf_approaches_uniform(self):
         d = np.array([0.0, 700.0, 2800.0])
-        soft = soft_assign(d, 1e9)
+        soft = soft_assign(d**2, 1e9)
         assert np.abs(soft - 1.0 / 3.0).max() <= 1e-6
 
 
 class TestHardAssign:
     def test_argmin(self):
-        assert hard_assign(np.array([3.0, 1.0, 2.0])).tolist() == [0.0, 1.0, 0.0]
+        assert hard_assign(np.array([3.0, 1.0, 2.0]) ** 2).tolist() == [0.0, 1.0, 0.0]
 
     def test_tie_lowest_index(self):
-        assert hard_assign(np.array([1.0, 1.0])).tolist() == [1.0, 0.0]
+        assert hard_assign(np.array([1.0, 1.0]) ** 2).tolist() == [1.0, 0.0]
 
     def test_against_linear_scan(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             profile = rng.uniform(0, 100, size=rng.integers(1, 30))
-            row = hard_assign(profile)
+            row = hard_assign(profile**2)
             best = 0
             for j in range(1, len(profile)):
                 if profile[j] < profile[best]:
@@ -123,34 +123,54 @@ class TestHardAssign:
             assert row[best] == 1.0 and row.sum() == 1.0
 
 
+def encode_points(pts, words, assignment="soft", pooling="max") -> np.ndarray:
+    ds = DescriptorSet(np.zeros((len(pts), 2), np.int32), np.asarray(pts, np.uint8), "im")
+    params = EncodingParams(sigma=60.0, assignment=assignment, pooling=pooling)
+    return encode_image(ds, make_codebook(np.asarray(words)), params).h
+
+
+def exact_d2(pts, words) -> np.ndarray:
+    """Squared distances by direct integer differences."""
+    diff = np.asarray(pts, np.int64)[:, np.newaxis, :] - np.asarray(words, np.int64)[np.newaxis]
+    return (diff * diff).sum(axis=2).astype(np.float64)
+
+
 class TestPooling:
+    """Pooling as encode_image applies it to the assignment rows."""
+
+    WORDS = np.random.default_rng(15).integers(0, 256, (3, 128)).astype(np.uint8)
+    PTS = np.random.default_rng(16).integers(0, 256, (2, 128)).astype(np.uint8)
+
     def test_max_single_row_identity(self):
-        row = np.array([0.25, 0.75])
-        assert max_pool([row]).tolist() == row.tolist()
+        row = soft_assign(exact_d2(self.PTS[:1], self.WORDS), 60.0)[0]
+        assert encode_points(self.PTS[:1], self.WORDS).tolist() == row.tolist()
 
     def test_max_elementwise(self):
-        assert max_pool([[0.2, 0.8], [0.7, 0.3]]).tolist() == [0.7, 0.8]
+        rows = soft_assign(exact_d2(self.PTS, self.WORDS), 60.0)
+        assert encode_points(self.PTS, self.WORDS).tolist() == np.maximum(*rows).tolist()
 
     def test_max_idempotent_on_equal_rows(self):
-        row = [0.1, 0.6, 0.3]
-        assert max_pool([row, row, row]).tolist() == row
+        once = encode_points(self.PTS[:1], self.WORDS)
+        assert encode_points(self.PTS[[0, 0, 0]], self.WORDS).tolist() == once.tolist()
 
     def test_average_single_row_identity(self):
-        assert average_pool([[0.25, 0.75]]).tolist() == [0.25, 0.75]
+        row = soft_assign(exact_d2(self.PTS[:1], self.WORDS), 60.0)[0]
+        assert encode_points(self.PTS[:1], self.WORDS, pooling="average").tolist() == row.tolist()
 
     def test_average_mean(self):
-        assert average_pool([[1.0, 0.0], [0.0, 1.0]]).tolist() == [0.5, 0.5]
+        # each point sits on its own word, so hard rows are (1, 0, 0) and (0, 1, 0)
+        got = encode_points(self.WORDS[:2], self.WORDS, assignment="hard", pooling="average")
+        assert got.tolist() == [0.5, 0.5, 0.0]
 
     def test_average_of_soft_rows_sums_to_one(self):
-        rng = np.random.default_rng(1)
-        rows = [soft_assign(rng.uniform(0, 500, 6), 60.0) for _ in range(9)]
-        assert average_pool(rows).sum() == pytest.approx(1.0, abs=1e-9)
+        pts = np.random.default_rng(1).integers(0, 256, (9, 128))
+        assert encode_points(pts, self.WORDS, pooling="average").sum() == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_empty_rejected(self):
+        # an image without points never reaches pooling
         with pytest.raises(ValueError):
-            max_pool(np.empty((0, 3)))
-        with pytest.raises(ValueError):
-            average_pool(np.empty((0, 3)))
+            DescriptorSet(np.zeros((0, 2), np.int32), np.zeros((0, 128), np.uint8), "im")
 
     @settings(max_examples=60)
     @given(
@@ -160,8 +180,12 @@ class TestPooling:
     )
     def test_max_dominates_average(self, n, k, seed):
         rng = np.random.default_rng(seed)
-        rows = rng.uniform(0, 1, (n, k))
-        assert (max_pool(rows) >= average_pool(rows) - 1e-15).all()
+        pts = rng.integers(0, 256, (n, 128))
+        words = rng.integers(0, 256, (k, 128))
+        for assignment in ("soft", "hard"):
+            hi = encode_points(pts, words, assignment, "max")
+            lo = encode_points(pts, words, assignment, "average")
+            assert (hi >= lo - 1e-15).all()
 
 
 class TestEncodeImage:
@@ -198,6 +222,25 @@ class TestEncodeImage:
                                EncodingParams(sigma=60.0, assignment=assignment, pooling=pooling))
             want = bow_reference(pts, words, 60.0, assignment, pooling)
             assert np.abs(got.h - np.array(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "average"),
+                                                    ("soft", "average"), ("hard", "max")])
+    def test_bit_identical_to_direct_distances(self, assignment, pooling):
+        # the in-place p^2 + w^2 - 2 p.w must equal the direct-difference
+        # squared distances exactly, so the encodings agree with ==
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(1, 50))
+            sigma = float(rng.uniform(5.0, 200.0))
+            pts = rng.integers(0, 256, (n, 128)).astype(np.uint8)
+            words = rng.integers(0, 256, (k, 128)).astype(np.uint8)
+            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            got = encode_image(ds, make_codebook(words),
+                               EncodingParams(sigma=sigma, assignment=assignment, pooling=pooling))
+            d2 = exact_d2(pts, words)
+            rows = soft_assign(d2, sigma) if assignment == "soft" else hard_assign(d2)
+            want = rows.max(axis=0) if pooling == "max" else rows.sum(axis=0) / n
+            assert np.array_equal(got.h, want)
 
     def test_soft_max_bounds(self):
         ds = random_descriptor_set(30, 4)

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from bovw.corpus import Image
 from bovw.features import (
+    DescriptorSet,
     GridParams,
     Keypoint,
     cache_path,
@@ -174,6 +177,22 @@ class TestDescriptorCache:
         save_descriptor_cache(path, ds, params)
         with pytest.raises(ValueError, match="stride"):
             load_descriptor_cache(path, GridParams(stride=8))
+
+    def test_layout_matches_docstring(self, tmp_path):
+        # the documented layout, built field by field with struct
+        params = GridParams(stride=5, patch_size=12)
+        keypoints = np.array([[6, 7], [300, 70000]], np.int32)
+        descriptors = np.arange(256, dtype=np.uint8).reshape(2, 128)
+        want = b"BVWD" + struct.pack("<5I", 1, 2, 128, 5, 12)
+        for (x, y), desc in zip(keypoints, descriptors):
+            want += struct.pack("<2I", x, y) + desc.tobytes()
+        path = tmp_path / "x.desc"
+        save_descriptor_cache(path, DescriptorSet(keypoints, descriptors, "x.pgm"), params)
+        assert path.read_bytes() == want
+        back = load_descriptor_cache(path, params)
+        assert back.keypoints.dtype == np.int32
+        assert np.array_equal(back.keypoints, keypoints)
+        assert np.array_equal(back.descriptors, descriptors)
 
     def test_key_depends_on_params_and_path(self, tmp_path):
         a = cache_path(tmp_path, "im.pgm", GridParams())

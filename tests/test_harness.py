@@ -10,9 +10,11 @@ from bovw.codebook import build_random_codebook
 from bovw.corpus import DatasetManifest, ManifestEntry, load_image, load_manifest
 from bovw.encoding import EncodingParams, encode_image
 from bovw.features import GridParams
+import bovw.harness
 from bovw.harness import (
     CSV_COLUMNS,
     SPLIT_SEED_OFFSET,
+    DescriptorStore,
     PipelineParams,
     SplitSpec,
     confidence_interval,
@@ -34,17 +36,22 @@ def toy_manifest(sizes: dict[str, int]) -> DatasetManifest:
     return DatasetManifest(name="toy", entries=tuple(entries))
 
 
+def labels_at(m: DatasetManifest, idx) -> list[str]:
+    return [m.entries[i].label for i in idx]
+
+
 class TestSplitBalanced:
     def test_remainder_rule(self):
         m = toy_manifest({"a": 4, "b": 6})
         train, test = split_balanced(m, 3, seed=0)
-        assert len(train.entries_for_class("a")) == 3
-        assert len(test.entries_for_class("a")) == 1
-        assert len(test.entries_for_class("b")) == 3
+        assert labels_at(m, train).count("a") == 3
+        assert labels_at(m, test).count("a") == 1
+        assert labels_at(m, test).count("b") == 3
 
     def test_deterministic(self):
         m = toy_manifest({"a": 5, "b": 5, "c": 7})
-        assert split_balanced(m, 2, seed=9) == split_balanced(m, 2, seed=9)
+        a, b = split_balanced(m, 2, seed=9), split_balanced(m, 2, seed=9)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_class_too_small_names_class(self):
         m = toy_manifest({"a": 3, "tiny": 2})
@@ -61,9 +68,10 @@ class TestSplitBalanced:
     def test_partition(self, n_a, n_b, n_train, seed):
         m = toy_manifest({"a": n_a, "b": n_b})
         train, test = split_balanced(m, n_train, seed=seed)
-        assert set(train.entries).isdisjoint(test.entries)
-        assert sorted(train.entries + test.entries) == sorted(m.entries)
-        assert all(len(train.entries_for_class(c)) == n_train for c in ("a", "b"))
+        assert set(train).isdisjoint(test)
+        assert sorted([*train, *test]) == list(range(len(m)))
+        assert all(labels_at(m, train).count(c) == n_train for c in ("a", "b"))
+        assert list(train) == sorted(train) and list(test) == sorted(test)
 
 
 class TestConfidenceInterval:
@@ -116,9 +124,9 @@ def micro_params():
 
 class TestRunTrial:
     def test_own_dictionary_beats_chance(self, micro_corpus, micro_store, micro_params):
-        train_m, _ = split_balanced(micro_corpus, 4, seed=100)
-        cb = build_random_codebook(micro_store.pool(train_m), micro_params.k, seed=0,
-                                   source_name="micro")
+        train, _ = split_balanced(micro_corpus, 4, seed=100)
+        pool = [micro_store.get(micro_corpus, micro_corpus.entries[i]) for i in train]
+        cb = build_random_codebook(pool, micro_params.k, seed=0, source_name="micro")
         result = run_trial(cb, micro_corpus, 4, 0, micro_params, micro_store)
         assert result.accuracy > 0.5
         # brute-force sanity: classes separate in bow space by nearest centroid
@@ -145,9 +153,10 @@ class TestRunTrial:
                 for e in micro_corpus.entries]
         assert all(np.array_equal(b, bows[0]) for b in bows)
         result = run_trial(cb, micro_corpus, 4, 0, params, micro_store)
-        _, test_m = split_balanced(micro_corpus, 4, seed=0 + SPLIT_SEED_OFFSET)
-        counts = [len(test_m.entries_for_class(c)) for c in test_m.class_labels]
-        assert result.accuracy == max(counts) / len(test_m)
+        _, test = split_balanced(micro_corpus, 4, seed=0 + SPLIT_SEED_OFFSET)
+        test_labels = labels_at(micro_corpus, test)
+        counts = [test_labels.count(c) for c in set(test_labels)]
+        assert result.accuracy == max(counts) / len(test)
 
     def test_deterministic(self, micro_corpus, micro_store, micro_params):
         cb = build_random_codebook(micro_store.pool(micro_corpus), micro_params.k, seed=2,
@@ -185,14 +194,37 @@ class TestExperiments:
                                      store=micro_store, include_native=False)
         assert rows[0].n_runs == 5
 
+    def test_target_encoded_once_per_dictionary(self, micro_corpus, micro_params,
+                                                monkeypatch):
+        # every n_train of a run seed shares that seed's dictionary
+        calls = []
+        real = bovw.harness.encode_image
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bovw.harness, "encode_image", counted)
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+        cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
+                              store=DescriptorStore(micro_params.grid), include_native=False)
+        assert len(calls) == 2 * len(micro_corpus)
+
     def test_workers_do_not_change_results(self, micro_corpus, micro_store, micro_params):
-        spec = SplitSpec(n_train_per_class=3, run_seeds=(0, 1, 2))
-        serial = cross_base_experiment(micro_corpus, micro_corpus, [3], spec, micro_params,
+        # two training sizes, so concurrent trials share the store's encoding slot
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1, 2))
+        serial = cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
                                        store=micro_store, include_native=False)
         threaded_params = PipelineParams(grid=micro_params.grid, encoding=micro_params.encoding,
                                          k=micro_params.k, epochs=micro_params.epochs, workers=4)
-        threaded = cross_base_experiment(micro_corpus, micro_corpus, [3], spec, threaded_params,
-                                         store=micro_store, include_native=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec,
+                                             threaded_params, store=micro_store,
+                                             include_native=False)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial == threaded
 
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
