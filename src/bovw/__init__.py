@@ -43,10 +43,8 @@ from .encoding import (
 from .features import (
     DescriptorSet,
     GridParams,
-    Keypoint,
     dense_grid,
     extract_dense_sift,
-    sift_descriptor,
 )
 from .harness import (
     DescriptorStore,

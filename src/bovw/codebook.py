@@ -8,6 +8,7 @@ of the cost.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class Codebook:
     def k(self) -> int:
         return int(self.words.shape[0])
 
-    @property
+    @functools.cached_property
     def codebook_id(self) -> str:
         digest = hashlib.sha1(self.words.tobytes()).hexdigest()[:10]
         return f"{self.source_name}-k{self.k}-s{self.seed}-{digest}"

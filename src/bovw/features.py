@@ -9,12 +9,14 @@ no scale pyramid: one patch size, grid stride in pixels.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Image
 
@@ -44,11 +46,6 @@ class GridParams:
             raise ValueError("patch_size must be a positive multiple of 4")
 
 
-class Keypoint(NamedTuple):
-    x: int
-    y: int
-
-
 @dataclass
 class DescriptorSet:
     """Per-image grid keypoints with parallel 128-d byte descriptors."""
@@ -69,8 +66,8 @@ class DescriptorSet:
         return len(self.keypoints)
 
 
-def dense_grid(width: int, height: int, params: GridParams) -> list[Keypoint]:
-    """Patch centers on a regular grid, row-major.
+def dense_grid(width: int, height: int, params: GridParams) -> np.ndarray:
+    """Patch centers (x, y) on a regular grid, row-major, as (N, 2) int32.
 
     A patch centered at (x, y) covers pixels [x-h, x+h-1] x [y-h, y+h-1]
     with h = patch_size/2; centers start at (h, h) and advance by the stride
@@ -81,47 +78,32 @@ def dense_grid(width: int, height: int, params: GridParams) -> list[Keypoint]:
         raise ValueError(
             f"image {width}x{height} smaller than one {params.patch_size}-pixel patch"
         )
-    xs = range(h, width - h + 1, params.stride)
-    ys = range(h, height - h + 1, params.stride)
-    return [Keypoint(x, y) for y in ys for x in xs]
-
-
-def sift_descriptor(image: Image, kp: Keypoint, params: GridParams) -> np.ndarray:
-    """Upright SIFT descriptor of the patch centered at ``kp``.
-
-    Returns a (128,) uint8 vector; a constant-intensity patch yields all
-    zeros (normalization is skipped when the histogram norm is zero).
-    """
-    h = params.patch_size // 2
-    if not (h <= kp.x <= image.width - h and h <= kp.y <= image.height - h):
-        raise ValueError(f"patch at {kp} out of bounds for {image.width}x{image.height}")
-    patch = image.pixels[kp.y - h : kp.y + h, kp.x - h : kp.x + h]
-    return _describe_patches(patch[np.newaxis].astype(np.float64), params.patch_size)[0]
+    xs = np.arange(h, width - h + 1, params.stride, dtype=np.int32)
+    ys = np.arange(h, height - h + 1, params.stride, dtype=np.int32)
+    return np.stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))], axis=1)
 
 
 def extract_dense_sift(image: Image, params: GridParams, source: str = "") -> DescriptorSet:
     """One descriptor per dense-grid keypoint, in grid order."""
-    kps = dense_grid(image.width, image.height, params)
+    keypoints = dense_grid(image.width, image.height, params)
     s = params.patch_size
-    h = s // 2
-    patches = np.empty((len(kps), s, s), dtype=np.float64)
-    for i, (x, y) in enumerate(kps):
-        patches[i] = image.pixels[y - h : y + h, x - h : x + h]
-    descriptors = _describe_patches(patches, s)
-    keypoints = np.array(kps, dtype=np.int32).reshape(len(kps), 2)
+    # window (r, c) is the patch centered at (c + s/2, r + s/2)
+    windows = sliding_window_view(image.pixels, (s, s))[:: params.stride, :: params.stride]
+    descriptors = _describe_patches(windows.astype(np.float64).reshape(-1, s, s))
     return DescriptorSet(keypoints=keypoints, descriptors=descriptors, source_image=source)
 
 
-def _describe_patches(patches: np.ndarray, patch_size: int) -> np.ndarray:
+def _describe_patches(patches: np.ndarray) -> np.ndarray:
     """Vectorized descriptor computation for a (N, S, S) float patch stack.
 
     Pipeline per patch: central-difference gradients with replicated borders
     (the patch is self-contained; pixels outside it are never read), Gaussian
     magnitude weighting (sigma = S/2 about the patch center), trilinear
     soft-binning into 4x4 cells x 8 orientation bins, L2 normalization, 0.2
-    clamp, renormalization and x512 byte quantization.
+    clamp, renormalization and x512 byte quantization. A constant-intensity
+    patch (zero histogram norm) yields the all-zero descriptor.
     """
-    n, s = patches.shape[0], patch_size
+    n, s = patches.shape[0], patches.shape[1]
     cs = s // N_SPATIAL_CELLS
 
     padded = np.pad(patches, ((0, 0), (1, 1), (1, 1)), mode="edge")
@@ -134,37 +116,33 @@ def _describe_patches(patches: np.ndarray, patch_size: int) -> np.ndarray:
     sigma_w = s / 2.0
     coords = np.arange(s, dtype=np.float64)
     g1d = np.exp(-((coords - center) ** 2) / (2.0 * sigma_w**2))
-    weighted = mag * (g1d[:, np.newaxis] * g1d[np.newaxis, :])
+    weighted = (mag * (g1d[:, np.newaxis] * g1d[np.newaxis, :])).reshape(n, s * s)
 
     # orientation soft-binning: each pixel splits its mass between the two
     # adjacent bins on the 8-bin circle
     bin_width = 2.0 * np.pi / N_ORIENT_BINS
-    ob = np.mod(theta, 2.0 * np.pi) / bin_width
+    ob = (np.mod(theta, 2.0 * np.pi) / bin_width).reshape(n, s * s)
     o0 = np.floor(ob).astype(np.intp) % N_ORIENT_BINS
-    fo = ob - np.floor(ob)
-    orient = np.zeros((n, s, s, N_ORIENT_BINS), dtype=np.float64)
-    np.put_along_axis(orient, o0[..., np.newaxis], (weighted * (1.0 - fo))[..., np.newaxis], axis=3)
     o1 = (o0 + 1) % N_ORIENT_BINS
-    prev = np.take_along_axis(orient, o1[..., np.newaxis], axis=3)
-    np.put_along_axis(orient, o1[..., np.newaxis], prev + (weighted * fo)[..., np.newaxis], axis=3)
+    fo = ob - np.floor(ob)
+    w0 = weighted * (1.0 - fo)
+    w1 = weighted * fo
 
-    # spatial bilinear weights are data-independent: (S, 4) per axis
+    # spatial bilinear weights are data-independent: (S, 4) per axis, each
+    # pixel split between its two nearest cell centers (none past the edge)
     cell_coord = (coords - (cs - 1) / 2.0) / cs
-    i0 = np.floor(cell_coord).astype(np.intp)
-    fr = cell_coord - i0
-    axis_w = np.zeros((s, N_SPATIAL_CELLS), dtype=np.float64)
-    for p in range(s):
-        if 0 <= i0[p] < N_SPATIAL_CELLS:
-            axis_w[p, i0[p]] += 1.0 - fr[p]
-        if 0 <= i0[p] + 1 < N_SPATIAL_CELLS:
-            axis_w[p, i0[p] + 1] += fr[p]
-    # combined pixel -> cell map, (S*S, 16)
-    spatial = (axis_w[:, np.newaxis, :, np.newaxis] * axis_w[np.newaxis, :, np.newaxis, :]).reshape(
-        s * s, N_SPATIAL_CELLS * N_SPATIAL_CELLS
-    )
+    i0 = np.floor(cell_coord).astype(np.intp)[:, np.newaxis]
+    fr = (cell_coord - np.floor(cell_coord))[:, np.newaxis]
+    cells = np.arange(N_SPATIAL_CELLS)
+    axis_w = np.where(cells == i0, 1.0 - fr, 0.0) + np.where(cells == i0 + 1, fr, 0.0)
+    # combined pixel -> cell map, (S*S, 16): row y*S + x, column row_cell*4 + col_cell
+    spatial = np.kron(axis_w, axis_w)
 
-    flat = orient.reshape(n, s * s, N_ORIENT_BINS)
-    hist = np.einsum("npo,pc->nco", flat, spatial).reshape(n, DESCRIPTOR_DIMS)
+    # one orientation bin at a time: its per-pixel mass, pooled into cells
+    hist = np.empty((n, N_SPATIAL_CELLS * N_SPATIAL_CELLS, N_ORIENT_BINS), dtype=np.float64)
+    for b in range(N_ORIENT_BINS):
+        hist[:, :, b] = (np.where(o0 == b, w0, 0.0) + np.where(o1 == b, w1, 0.0)) @ spatial
+    hist = hist.reshape(n, DESCRIPTOR_DIMS)
 
     norms = np.linalg.norm(hist, axis=1, keepdims=True)
     nonzero = norms[:, 0] > 0.0
@@ -190,6 +168,7 @@ def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParam
 
     Layout (little-endian): magic, version, N, dims, stride, patch_size as
     u32 fields, then N records of (x: u32, y: u32, 128 descriptor bytes).
+    The file is replaced atomically.
     """
     n = len(ds)
     header = CACHE_MAGIC + struct.pack(
@@ -198,7 +177,18 @@ def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParam
     records = np.empty(n, dtype=_CACHE_RECORD)
     records["xy"] = ds.keypoints
     records["desc"] = ds.descriptors
-    Path(path).write_bytes(header + records.tobytes())
+    # write a uniquely named file beside the target, then rename it over the
+    # target: readers see the old file or the whole new one (not mkstemp,
+    # whose 0600 mode would ignore the umask)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header + records.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_descriptor_cache(

@@ -145,7 +145,8 @@ class DescriptorStore:
     """Memoized dense-SIFT extraction per (manifest entry, grid params).
 
     Optionally persists per-image cache files so repeated CLI runs skip
-    extraction. Warm the store before handing it to concurrent trials.
+    extraction; a cache file that fails to load is re-extracted and
+    rewritten. Warm the store before handing it to concurrent trials.
 
     The store also keeps one encoding slot: the latest manifest encoded by
     ``encode``, as its per-image k-vectors, keyed by the manifest, the
@@ -168,17 +169,20 @@ class DescriptorStore:
         ds = self._memory.get(path)
         if ds is not None:
             return ds
-        if self.cache_dir is not None:
-            cpath = cache_path(self.cache_dir, path, self.grid)
-            if cpath.is_file():
+        cpath = None if self.cache_dir is None else cache_path(self.cache_dir, path, self.grid)
+        if cpath is not None and cpath.is_file():
+            try:
                 ds = load_descriptor_cache(cpath, self.grid, source_image=entry.path)
+            except ValueError as err:
+                logger.warning("re-extracting %s: unreadable cache file (%s)", path, err)
+            else:
                 self._memory[path] = ds
                 return ds
         image = load_image(path)
         logger.debug("extracting %s (%dx%d)", path, image.width, image.height)
         ds = extract_dense_sift(image, self.grid, source=entry.path)
-        if self.cache_dir is not None:
-            save_descriptor_cache(cache_path(self.cache_dir, path, self.grid), ds, self.grid)
+        if cpath is not None:
+            save_descriptor_cache(cpath, ds, self.grid)
         self._memory[path] = ds
         return ds
 
@@ -425,9 +429,15 @@ def diversity_sweep(
 
 def write_summary_csv(rows: Iterable[SummaryRow], path: str | Path) -> None:
     """Append rows to a results CSV, writing the header only when the file
-    does not yet exist (or is empty). Every row carries its configuration."""
+    does not yet exist (or is empty). Every row carries its configuration.
+    Raises ValueError if a non-empty file does not start with the header."""
     path = Path(path)
     fresh = not path.exists() or path.stat().st_size == 0
+    if not fresh:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+        if header != CSV_COLUMNS:
+            raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
     with path.open("a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fresh:

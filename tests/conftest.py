@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,10 +8,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bovw.corpus import DatasetManifest, load_manifest
-from bovw.features import DescriptorSet
+import bovw
+from bovw.corpus import DatasetManifest, Image, load_manifest
+from bovw.features import DescriptorSet, extract_dense_sift
 from bovw.harness import DescriptorStore, GridParams
 from bovw.synth import TextureSpec, generate_corpus
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m bovw ARGV`` in a child process that imports the same
+    package as the tests, installed or not."""
+    src = str(Path(bovw.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bovw", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def random_descriptor_set(n: int, seed: int, source: str = "") -> DescriptorSet:
@@ -19,6 +31,14 @@ def random_descriptor_set(n: int, seed: int, source: str = "") -> DescriptorSet:
         descriptors=rng.integers(0, 256, (n, 128)).astype(np.uint8),
         source_image=source or f"synthetic-{seed}",
     )
+
+
+def describe_patch(pixels: np.ndarray, params: GridParams = GridParams()) -> np.ndarray:
+    """The one descriptor of an S x S image: its single patch, centered at
+    (S/2, S/2)."""
+    ds = extract_dense_sift(Image(pixels=pixels), params)
+    assert ds.keypoints.tolist() == [[params.patch_size // 2] * 2]
+    return ds.descriptors[0]
 
 
 MICRO_SPECS = (

@@ -6,17 +6,14 @@ desk scale; a session-scoped descriptor cache keeps the whole module fast.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from bovw.codebook import Codebook, build_random_codebook
-from bovw.corpus import Image
 from bovw.encoding import EncodingParams, encode_image, soft_assign
-from bovw.features import DescriptorSet, GridParams, Keypoint, sift_descriptor
+from bovw.features import DescriptorSet, GridParams
 from bovw.harness import (
     SPLIT_SEED_OFFSET,
     DescriptorStore,
@@ -30,6 +27,7 @@ from bovw.harness import (
 )
 from bovw.synth import generate_preset
 
+from conftest import describe_patch, run_cli
 from oracles import bow_reference, sift_reference, soft_row
 
 K_DESK = 200
@@ -120,30 +118,28 @@ def test_criterion_3_sift_oracle_equivalence():
     intensity never changes a descriptor."""
     start = time.perf_counter()
     rng = np.random.default_rng(5)
-    params = GridParams()
-    kp = Keypoint(8, 8)
     worst = 0
     for _ in range(200):
         patch = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-        got = sift_descriptor(Image(pixels=patch), kp, params).astype(int)
+        got = describe_patch(patch).astype(int)
         want = np.array(sift_reference(patch), dtype=int)
         worst = max(worst, int(np.abs(got - want).max()))
     assert worst <= 1
 
     flat = np.full((16, 16), 190, np.uint8)
-    assert not sift_descriptor(Image(pixels=flat), kp, params).any()
+    assert not describe_patch(flat).any()
     assert not any(sift_reference(flat))
 
     step = np.zeros((16, 16), np.uint8)
     step[:, 8:] = 255
-    got = sift_descriptor(Image(pixels=step), kp, params).astype(int)
+    got = describe_patch(step).astype(int)
     want = np.array(sift_reference(step), dtype=int)
     assert np.abs(got - want).max() <= 1
 
     for _ in range(20):
         patch = rng.integers(0, 200, (16, 16)).astype(np.uint8)
-        a = sift_descriptor(Image(pixels=patch), kp, params)
-        b = sift_descriptor(Image(pixels=patch + 55), kp, params)
+        a = describe_patch(patch)
+        b = describe_patch(patch + 55)
         assert np.array_equal(a, b)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -218,16 +214,15 @@ def test_criterion_7_crossbase_determinism(corpora, warm_store, tmp_path):
     for run_dir in ("first", "second"):
         out_csv = tmp_path / run_dir / "results.csv"
         out_csv.parent.mkdir()
-        cmd = [
-            sys.executable, "-m", "bovw", "crossbase",
+        proc = run_cli(
+            "crossbase",
             "--source", str(a.base_dir / "textures8.manifest"),
             "--target", str(b.base_dir / "textures3.manifest"),
             "--ntrain", str(N_TRAIN), "--k", str(K_DESK),
             "--runs", "5", "--seed", "0",
             "--cache-dir", str(root / "cache"),
             "--out", str(out_csv),
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_csv.read_bytes())
     assert outputs[0] == outputs[1]

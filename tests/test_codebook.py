@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -96,3 +97,11 @@ class TestCodebookIO:
         path.write_bytes(b"not a codebook at all")
         with pytest.raises(ValueError, match="not a codebook"):
             load_codebook(path)
+
+    def test_id_hashed_once(self, monkeypatch):
+        hashed = []
+        real_sha1 = hashlib.sha1
+        monkeypatch.setattr(hashlib, "sha1", lambda data: hashed.append(data) or real_sha1(data))
+        cb = Codebook(np.arange(256, dtype=np.uint8).reshape(2, 128), "src", ("cat",), seed=3)
+        assert [cb.codebook_id for _ in range(3)] == ["src-k2-s3-4916d6bdb7"] * 3
+        assert len(hashed) == 1

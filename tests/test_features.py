@@ -1,3 +1,6 @@
+import hashlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -7,15 +10,14 @@ from bovw.corpus import Image
 from bovw.features import (
     DescriptorSet,
     GridParams,
-    Keypoint,
     cache_path,
     dense_grid,
     extract_dense_sift,
     load_descriptor_cache,
     save_descriptor_cache,
-    sift_descriptor,
 )
 
+from conftest import describe_patch
 from oracles import grid_centers, sift_reference
 
 
@@ -37,11 +39,12 @@ class TestGridParams:
 
 class TestDenseGrid:
     def test_single_fitting_patch(self):
-        assert dense_grid(16, 16, GridParams()) == [Keypoint(8, 8)]
+        assert dense_grid(16, 16, GridParams()).tolist() == [[8, 8]]
 
     def test_two_columns(self):
         kps = dense_grid(22, 16, GridParams())
-        assert kps == [Keypoint(8, 8), Keypoint(14, 8)]
+        assert kps.dtype == np.int32
+        assert kps.tolist() == [[8, 8], [14, 8]]
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="smaller"):
@@ -51,33 +54,30 @@ class TestDenseGrid:
                                             (33, 47, 4), (100, 31, 9)])
     def test_matches_exhaustive_enumeration(self, w, h, stride):
         params = GridParams(stride=stride, patch_size=16)
-        got = [(k.x, k.y) for k in dense_grid(w, h, params)]
+        got = [(x, y) for x, y in dense_grid(w, h, params).tolist()]
         assert got == grid_centers(w, h, stride, 16)
 
     def test_row_major_order(self):
         kps = dense_grid(30, 30, GridParams())
-        ys = [k.y for k in kps]
+        ys = kps[:, 1].tolist()
         assert ys == sorted(ys)
 
 
 class TestSiftDescriptor:
+    """Descriptors of one patch: an S x S image through extract_dense_sift."""
+
     def test_constant_patch_is_zero(self):
-        img = Image(pixels=np.full((16, 16), 93, np.uint8))
-        assert not sift_descriptor(img, Keypoint(8, 8), GridParams()).any()
+        assert not describe_patch(np.full((16, 16), 93, np.uint8)).any()
 
     def test_shape_and_range(self):
-        d = sift_descriptor(random_image(20, 20, 3), Keypoint(9, 9), GridParams())
+        d = describe_patch(random_image(16, 16, 3).pixels)
         assert d.shape == (128,)
         assert d.dtype == np.uint8
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValueError, match="out of bounds"):
-            sift_descriptor(random_image(20, 20), Keypoint(5, 5), GridParams())
 
     def test_step_edge_single_orientation(self):
         pixels = np.zeros((16, 16), np.uint8)
         pixels[:, 8:] = 255
-        d = sift_descriptor(Image(pixels=pixels), Keypoint(8, 8), GridParams())
+        d = describe_patch(pixels)
         by_bin = d.reshape(4, 4, 8)
         assert by_bin.sum() > 0
         # gradient points along +x: all mass in orientation bin 0
@@ -88,7 +88,7 @@ class TestSiftDescriptor:
     def test_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         patch = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-        got = sift_descriptor(Image(pixels=patch), Keypoint(8, 8), GridParams())
+        got = describe_patch(patch)
         want = np.array(sift_reference(patch), dtype=int)
         assert np.abs(got.astype(int) - want).max() <= 1
 
@@ -96,35 +96,28 @@ class TestSiftDescriptor:
     def test_matches_reference_other_patch_sizes(self, patch_size):
         rng = np.random.default_rng(patch_size)
         patch = rng.integers(0, 256, (patch_size, patch_size)).astype(np.uint8)
-        h = patch_size // 2
-        got = sift_descriptor(Image(pixels=patch), Keypoint(h, h),
-                              GridParams(patch_size=patch_size))
+        got = describe_patch(patch, GridParams(patch_size=patch_size))
         want = np.array(sift_reference(patch), dtype=int)
         assert np.abs(got.astype(int) - want).max() <= 1
 
     def test_intensity_shift_invariance(self):
         rng = np.random.default_rng(11)
         patch = rng.integers(0, 200, (16, 16)).astype(np.uint8)
-        img_a = Image(pixels=patch)
-        img_b = Image(pixels=patch + 50)
-        kp, p = Keypoint(8, 8), GridParams()
-        assert np.array_equal(sift_descriptor(img_a, kp, p), sift_descriptor(img_b, kp, p))
+        assert np.array_equal(describe_patch(patch), describe_patch(patch + 50))
 
     def test_contrast_scaling_within_one(self):
         rng = np.random.default_rng(12)
         patch = rng.integers(0, 128, (16, 16)).astype(np.uint8)
-        kp, p = Keypoint(8, 8), GridParams()
-        a = sift_descriptor(Image(pixels=patch), kp, p).astype(int)
-        b = sift_descriptor(Image(pixels=patch * 2), kp, p).astype(int)
+        a = describe_patch(patch).astype(int)
+        b = describe_patch(patch * 2).astype(int)
         assert np.abs(a - b).max() <= 1
 
     def test_rotation_covariance(self):
         # cells rotate with the patch; orientation bins shift by a quarter turn
         rng = np.random.default_rng(13)
         patch = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-        kp, p = Keypoint(8, 8), GridParams()
-        d = sift_descriptor(Image(pixels=patch), kp, p).astype(int).reshape(4, 4, 8)
-        rot = sift_descriptor(Image(pixels=np.rot90(patch).copy()), kp, p)
+        d = describe_patch(patch).astype(int).reshape(4, 4, 8)
+        rot = describe_patch(np.rot90(patch).copy())
         rot = rot.astype(int).reshape(4, 4, 8)
         expect = np.empty_like(d)
         for ri in range(4):
@@ -153,10 +146,29 @@ class TestExtractDenseSift:
     def test_agrees_with_per_keypoint_calls(self):
         img = random_image(40, 34, 4)
         params = GridParams()
+        h = params.patch_size // 2
         ds = extract_dense_sift(img, params)
-        for i in range(len(ds)):
-            kp = Keypoint(int(ds.keypoints[i, 0]), int(ds.keypoints[i, 1]))
-            assert np.array_equal(ds.descriptors[i], sift_descriptor(img, kp, params))
+        for (x, y), d in zip(ds.keypoints.tolist(), ds.descriptors):
+            crop = img.pixels[y - h : y + h, x - h : x + h]
+            assert np.array_equal(d, describe_patch(crop, params))
+
+    def test_bytes_pinned(self):
+        # sha256 of keypoints and descriptors over patch sizes and strides;
+        # the descriptor cache key carries no algorithm version, so changed
+        # bytes would silently make every warm cache stale
+        digest = hashlib.sha256()
+        for patch in (8, 12, 16, 20):
+            for stride in (1, 4, 6, 9):
+                rng = np.random.default_rng(patch * 100 + stride)
+                pixels = rng.integers(0, 256, (37, 45)).astype(np.uint8)
+                pixels[:patch, :patch] = 77  # one flat patch: the all-zero descriptor
+                ds = extract_dense_sift(Image(pixels=pixels),
+                                        GridParams(stride=stride, patch_size=patch))
+                digest.update(ds.keypoints.astype("<i4").tobytes())
+                digest.update(ds.descriptors.tobytes())
+        assert digest.hexdigest() == (
+            "de098d31cddde5d773d00ad49c92a314d1414d43e94802ca096c0f1753b7671c"
+        )
 
 
 class TestDescriptorCache:
@@ -199,3 +211,32 @@ class TestDescriptorCache:
         b = cache_path(tmp_path, "im.pgm", GridParams(stride=8))
         c = cache_path(tmp_path, "other.pgm", GridParams())
         assert len({a, b, c}) == 3
+
+    def test_save_replaces_file_and_leaves_no_temp(self, tmp_path):
+        params = GridParams()
+        path = tmp_path / "x.desc"
+        path.write_bytes(b"stale")
+        ds = extract_dense_sift(random_image(32, 32, 7), params)
+        save_descriptor_cache(path, ds, params)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.desc"]
+        assert np.array_equal(load_descriptor_cache(path, params).descriptors, ds.descriptors)
+        # same permissions as any file the process creates (the umask applies)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        params = GridParams()
+        path = tmp_path / "x.desc"
+        old = extract_dense_sift(random_image(32, 32, 8), params)
+        save_descriptor_cache(path, old, params)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_descriptor_cache(path, extract_dense_sift(random_image(32, 32, 9), params), params)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.desc"]

@@ -1,12 +1,17 @@
-"""Every binary reader fails on a cut file with the documented ValueError."""
+"""Every binary reader fails on a cut or damaged file with the documented
+ValueError."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bovw.classifier import LinearModel, load_model, save_model
-from bovw.codebook import Codebook, load_codebook, save_codebook
-from bovw.encoding import BowVector, load_bows, save_bows
-from bovw.features import GridParams, load_descriptor_cache, save_descriptor_cache
+from bovw.classifier import MODEL_MAGIC, LinearModel, load_model, save_model
+from bovw.codebook import CODEBOOK_MAGIC, Codebook, load_codebook, save_codebook
+from bovw.encoding import BOW_MAGIC, BowVector, load_bows, save_bows
+from bovw.features import CACHE_MAGIC, GridParams, load_descriptor_cache, save_descriptor_cache
 
 from conftest import random_descriptor_set
 
@@ -34,6 +39,7 @@ FORMATS = {
     "bows": (save_bows_file, load_bows),
     "model": (save_model_file, load_model),
 }
+MAGICS = {"cache": CACHE_MAGIC, "codebook": CODEBOOK_MAGIC, "bows": BOW_MAGIC, "model": MODEL_MAGIC}
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -48,3 +54,21 @@ def test_every_strict_prefix_raises_value_error(fmt, tmp_path):
         cut.write_bytes(data[:n])
         with pytest.raises(ValueError):
             load(cut)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None)
+@given(version_one=st.booleans(), tail=st.binary(max_size=600))
+def test_any_bytes_after_magic_load_or_raise_value_error(fmt, fuzz_dir, version_one, tail):
+    # half the inputs carry the current version, so the parse goes past it
+    path = fuzz_dir / f"{fmt}.bin"
+    path.write_bytes(MAGICS[fmt] + (struct.pack("<I", 1) if version_one else b"") + tail)
+    try:
+        FORMATS[fmt][1](path)
+    except ValueError:
+        pass

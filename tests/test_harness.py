@@ -1,4 +1,3 @@
-import subprocess
 import sys
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from bovw.codebook import build_random_codebook
 from bovw.corpus import DatasetManifest, ManifestEntry, load_image, load_manifest
 from bovw.encoding import EncodingParams, encode_image
-from bovw.features import GridParams
+from bovw.features import GridParams, cache_path, extract_dense_sift, load_descriptor_cache
 import bovw.harness
 from bovw.harness import (
     CSV_COLUMNS,
@@ -25,6 +24,8 @@ from bovw.harness import (
     write_summary_csv,
 )
 from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_texture
+
+from conftest import run_cli
 
 
 def toy_manifest(sizes: dict[str, int]) -> DatasetManifest:
@@ -249,6 +250,24 @@ class TestExperiments:
                             store=micro_store)
 
 
+class TestDescriptorStore:
+    @pytest.mark.parametrize("damage", ["cut", "garbage"])
+    def test_unreadable_cache_file_is_re_extracted(self, micro_corpus, tmp_path, caplog, damage):
+        grid, entry = GridParams(), micro_corpus.entries[0]
+        image_path = micro_corpus.resolve(entry)
+        DescriptorStore(grid, cache_dir=tmp_path).get(micro_corpus, entry)
+        cpath = cache_path(tmp_path, image_path, grid)
+        data = cpath.read_bytes()
+        cpath.write_bytes(data[: len(data) // 2] if damage == "cut" else bytes(range(256)) * 3)
+        got = DescriptorStore(grid, cache_dir=tmp_path).get(micro_corpus, entry)
+        fresh = extract_dense_sift(load_image(image_path), grid)
+        assert np.array_equal(got.keypoints, fresh.keypoints)
+        assert np.array_equal(got.descriptors, fresh.descriptors)
+        assert "re-extracting" in caplog.text
+        assert cpath.read_bytes() == data
+        assert np.array_equal(load_descriptor_cache(cpath, grid).descriptors, fresh.descriptors)
+
+
 class TestSummaryCsv:
     def _row(self):
         from bovw.harness import SummaryRow
@@ -264,6 +283,14 @@ class TestSummaryCsv:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
         assert lines[1] == lines[2]
+
+    @pytest.mark.parametrize("first_line", ["a,b,c", ",".join(CSV_COLUMNS[:-1])])
+    def test_append_to_other_header_rejected(self, tmp_path, first_line):
+        path = tmp_path / "out.csv"
+        path.write_text(first_line + "\n1,2,3\n")
+        with pytest.raises(ValueError, match="header"):
+            write_summary_csv([self._row()], path)
+        assert path.read_text() == first_line + "\n1,2,3\n"
 
     def test_row_contents(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -303,26 +330,22 @@ class TestSynth:
 
 
 class TestCli:
-    def run(self, *argv):
-        return subprocess.run([sys.executable, "-m", "bovw", *argv],
-                              capture_output=True, text=True)
-
     def test_pipeline_commands(self, tmp_path, micro_corpus):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
         cache = str(tmp_path / "cache")
-        out = self.run("extract", "--manifest", manifest, "--cache-dir", cache)
+        out = run_cli("extract", "--manifest", manifest, "--cache-dir", cache)
         assert out.returncode == 0, out.stderr
-        out = self.run("codebook", "--manifest", manifest, "--k", "16", "--seed", "1",
-                       "--cache-dir", cache, "--out", str(tmp_path / "cb.bin"))
+        out = run_cli("codebook", "--manifest", manifest, "--k", "16", "--seed", "1",
+                      "--cache-dir", cache, "--out", str(tmp_path / "cb.bin"))
         assert out.returncode == 0, out.stderr
-        out = self.run("encode", "--manifest", manifest, "--codebook", str(tmp_path / "cb.bin"),
-                       "--cache-dir", cache, "--out", str(tmp_path / "bows.bin"))
+        out = run_cli("encode", "--manifest", manifest, "--codebook", str(tmp_path / "cb.bin"),
+                      "--cache-dir", cache, "--out", str(tmp_path / "bows.bin"))
         assert out.returncode == 0, out.stderr
-        out = self.run("train", "--bows", str(tmp_path / "bows.bin"), "--manifest", manifest,
-                       "--out", str(tmp_path / "model.bin"))
+        out = run_cli("train", "--bows", str(tmp_path / "bows.bin"), "--manifest", manifest,
+                      "--out", str(tmp_path / "model.bin"))
         assert out.returncode == 0, out.stderr
-        out = self.run("eval", "--bows", str(tmp_path / "bows.bin"), "--manifest", manifest,
-                       "--model", str(tmp_path / "model.bin"))
+        out = run_cli("eval", "--bows", str(tmp_path / "bows.bin"), "--manifest", manifest,
+                      "--model", str(tmp_path / "model.bin"))
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("accuracy\t")
 
@@ -346,9 +369,9 @@ class TestCli:
     def test_crossbase_command_writes_csv(self, tmp_path, micro_corpus):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
         csv_path = tmp_path / "res.csv"
-        out = self.run("crossbase", "--source", manifest, "--target", manifest,
-                       "--ntrain", "3", "--k", "12", "--runs", "2", "--seed", "0",
-                       "--out", str(csv_path))
+        out = run_cli("crossbase", "--source", manifest, "--target", manifest,
+                      "--ntrain", "3", "--k", "12", "--runs", "2", "--seed", "0",
+                      "--out", str(csv_path))
         assert out.returncode == 0, out.stderr
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
