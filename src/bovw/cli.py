@@ -46,7 +46,7 @@ def _encoding_params(args) -> encoding.EncodingParams:
         sigma=args.sigma,
         assignment=args.assignment,
         pooling=args.pooling,
-        l2_normalize=getattr(args, "l2_normalize", False),
+        l2_normalize=args.l2_normalize,
     )
 
 
@@ -140,44 +140,33 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_crossbase(args) -> int:
-    source = load_manifest(args.source)
-    target = load_manifest(args.target)
+def _experiment(args, n_train_per_class: int, experiment, **options) -> int:
+    """Run ``experiment`` (``harness.cross_base_experiment`` or
+    ``harness.diversity_sweep``) with ``options``, append its rows to
+    ``--out`` and print them."""
     params = _pipeline(args)
-    store = harness.DescriptorStore(params.grid, cache_dir=args.cache_dir)
-    spec = harness.SplitSpec(n_train_per_class=min(args.ntrain),
+    spec = harness.SplitSpec(n_train_per_class=n_train_per_class,
                              run_seeds=tuple(args.seed + i for i in range(args.runs)))
-    rows = harness.cross_base_experiment(
-        source, target, args.ntrain, spec, params, store=store,
-        include_native=not args.no_native,
-    )
+    store = harness.DescriptorStore(params.grid, cache_dir=args.cache_dir)
+    rows = experiment(load_manifest(args.source), target=load_manifest(args.target), spec=spec,
+                      params=params, store=store, **options)
     harness.write_summary_csv(rows, args.out)
     for r in rows:
         print(
-            f"{r.experiment} dict={r.dict_source} target={r.target} n_train={r.n_train} "
-            f"acc={r.mean_acc:.4f} ci=[{r.ci_low:.4f}, {r.ci_high:.4f}]"
+            f"{r.experiment} dict={r.dict_source} classes={r.dict_classes} target={r.target} "
+            f"n_train={r.n_train} acc={r.mean_acc:.4f} ci=[{r.ci_low:.4f}, {r.ci_high:.4f}]"
         )
     return 0
+
+
+def cmd_crossbase(args) -> int:
+    return _experiment(args, min(args.ntrain), harness.cross_base_experiment,
+                       n_train_values=args.ntrain, include_native=not args.no_native)
 
 
 def cmd_sweep(args) -> int:
-    source = load_manifest(args.source)
-    target = load_manifest(args.target)
-    params = _pipeline(args)
-    store = harness.DescriptorStore(params.grid, cache_dir=args.cache_dir)
-    spec = harness.SplitSpec(n_train_per_class=args.ntrain,
-                             run_seeds=tuple(args.seed + i for i in range(args.runs)))
-    rows = harness.diversity_sweep(
-        source, args.class_counts, target, args.ntrain, spec, params, store=store,
-        class_seed=args.seed + harness.CLASS_SEED_OFFSET,
-    )
-    harness.write_summary_csv(rows, args.out)
-    for r in rows:
-        print(
-            f"{r.experiment} classes={r.dict_classes} target={r.target} "
-            f"acc={r.mean_acc:.4f} ci=[{r.ci_low:.4f}, {r.ci_high:.4f}]"
-        )
-    return 0
+    return _experiment(args, args.ntrain, harness.diversity_sweep,
+                       class_counts=args.class_counts, n_train=args.ntrain)
 
 
 def cmd_synth(args) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -39,22 +39,6 @@ DICT_SEED_OFFSET = 9973
 SPLIT_SEED_OFFSET = 104729
 TRAIN_SEED_OFFSET = 1299709
 CLASS_SEED_OFFSET = 15485863
-
-CSV_COLUMNS = [
-    "experiment",
-    "dict_source",
-    "dict_classes",
-    "target",
-    "n_train",
-    "k",
-    "sigma",
-    "assignment",
-    "pooling",
-    "n_runs",
-    "mean_acc",
-    "ci_low",
-    "ci_high",
-]
 
 # two-sided Student-t critical values t_{1-alpha/2, df} for df = 1..30;
 # the "inf" entry is the normal-limit value used beyond the table
@@ -121,6 +105,11 @@ class SummaryRow:
     ci_high: float
 
 
+CSV_COLUMNS = [f.name for f in fields(SummaryRow)]
+# float cells are written as repr(float(v)): round-trip exact, byte-stable
+_FLOAT_CELLS = [t is float for t in get_type_hints(SummaryRow).values()]
+
+
 @dataclass(frozen=True)
 class PipelineParams:
     """Everything a trial needs besides the data: extraction, codebook size,
@@ -139,6 +128,8 @@ class PipelineParams:
             raise ValueError("k must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.alpha not in _T_TABLE:
+            raise ValueError(f"alpha must be one of {sorted(_T_TABLE)}")
 
 
 class DescriptorStore:
@@ -278,73 +269,48 @@ def confidence_interval(
     return mean, mean - half, mean + half
 
 
-def _dictionaries_for_runs(
-    source: DatasetManifest,
-    run_seeds: Sequence[int],
-    params: PipelineParams,
-    store: DescriptorStore,
-    class_note: str = "all",
-) -> dict[int, Codebook]:
-    pool = store.pool(source)
-    out = {}
-    for seed in run_seeds:
-        out[seed] = build_random_codebook(
-            pool,
-            params.k,
-            seed + DICT_SEED_OFFSET,
-            source_name=source.name,
-            source_classes=source.class_labels,
-        )
-        logger.info(
-            "dictionary %s from %s (%s classes)", out[seed].codebook_id, source.name, class_note
-        )
-    return out
-
-
-def _run_trials(
-    jobs: list[tuple[Codebook, DatasetManifest, int, int]],
-    params: PipelineParams,
-    store: DescriptorStore,
-) -> list[TrialResult]:
-    if params.workers > 1:
-        with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            futures = [
-                pool.submit(run_trial, cb, target, n_train, seed, params, store)
-                for cb, target, n_train, seed in jobs
-            ]
-            return [f.result() for f in futures]
-    return [run_trial(cb, target, n_train, seed, params, store) for cb, target, n_train, seed in jobs]
-
-
-def _summarize(
+def _curve(
     experiment: str,
-    dict_source: str,
+    source: DatasetManifest,
     dict_classes: str,
-    target: str,
-    n_train: int,
+    target: DatasetManifest,
+    n_train_values: Sequence[int],
+    spec: SplitSpec,
     params: PipelineParams,
-    trials: Sequence[TrialResult],
-) -> SummaryRow:
-    accs = [t.accuracy for t in sorted(trials, key=lambda t: t.seed)]
-    if len(accs) >= 2:
-        mean, low, high = confidence_interval(accs, params.alpha)
-    else:
-        mean = low = high = accs[0]
-    return SummaryRow(
-        experiment=experiment,
-        dict_source=dict_source,
-        dict_classes=dict_classes,
-        target=target,
-        n_train=n_train,
-        k=params.k,
-        sigma=params.encoding.sigma,
-        assignment=params.encoding.assignment,
-        pooling=params.encoding.pooling,
-        n_runs=len(accs),
-        mean_acc=mean,
-        ci_low=low,
-        ci_high=high,
-    )
+    store: DescriptorStore,
+) -> list[SummaryRow]:
+    """One row per n_train. Each run seed builds its own dictionary over
+    ``source`` and classifies ``target`` with it at every n_train; run
+    serially, the store then encodes the target once per dictionary."""
+    pool = store.pool(source)
+
+    def seed_accuracies(seed: int) -> list[float]:
+        cb = build_random_codebook(pool, params.k, seed + DICT_SEED_OFFSET,
+                                   source_name=source.name, source_classes=source.class_labels)
+        logger.info("dictionary %s from %s (%s classes)",
+                    cb.codebook_id, source.name, dict_classes)
+        return [run_trial(cb, target, n, seed, params, store).accuracy for n in n_train_values]
+
+    # ascending seeds fix the summation order of mean and std, hence the CSV bytes
+    seeds = sorted(spec.run_seeds)
+    if params.workers > 1:
+        with ThreadPoolExecutor(max_workers=params.workers) as ex:
+            per_seed = list(ex.map(seed_accuracies, seeds))
+    else:  # no executor: on Ctrl-C it would wait for every queued dictionary
+        per_seed = [seed_accuracies(seed) for seed in seeds]
+
+    rows = []
+    for n_train, accs in zip(n_train_values, zip(*per_seed)):
+        if len(accs) >= 2:
+            mean, low, high = confidence_interval(accs, params.alpha)
+        else:
+            mean = low = high = accs[0]
+        rows.append(SummaryRow(
+            experiment, source.name, dict_classes, target.name, n_train, params.k,
+            params.encoding.sigma, params.encoding.assignment, params.encoding.pooling,
+            len(accs), mean, low, high,
+        ))
+    return rows
 
 
 def cross_base_experiment(
@@ -358,31 +324,20 @@ def cross_base_experiment(
 ) -> list[SummaryRow]:
     """Paired dictionary-generalizability curves on one target corpus.
 
-    For every n_train and run seed, the target is encoded with a dictionary
-    built either over its own images ("native") or over ``dict_source``
-    ("cross"), then classified on a balanced split. One fresh dictionary is
-    built per run seed and reused across training sizes; trials run seed by
-    seed, so the target is encoded once per dictionary. Rows are ordered by
-    (configuration, n_train).
+    The target is classified with dictionaries built over its own images
+    ("native", unless ``include_native`` is false) and over ``dict_source``
+    ("cross"), on balanced splits. Rows are ordered by (configuration,
+    n_train): native first, then cross.
     """
     store = store if store is not None else DescriptorStore(params.grid)
     # warm extraction up front so trials only read
     store.pool(dict_source)
     store.pool(target)
-    configs: list[tuple[str, DatasetManifest]] = []
-    if include_native:
-        configs.append(("native", target))
-    configs.append(("cross", dict_source))
+    sources = [target, dict_source] if include_native else [dict_source]
 
     rows: list[SummaryRow] = []
-    for _, source in configs:
-        dicts = _dictionaries_for_runs(source, spec.run_seeds, params, store)
-        jobs = [(dicts[seed], target, n_train, seed)
-                for seed in spec.run_seeds for n_train in n_train_values]
-        trials = _run_trials(jobs, params, store)
-        for j, n_train in enumerate(n_train_values):
-            rows.append(_summarize("crossbase", source.name, "all", target.name, n_train, params,
-                                   trials[j :: len(n_train_values)]))
+    for source in sources:
+        rows += _curve("crossbase", source, "all", target, n_train_values, spec, params, store)
     return rows
 
 
@@ -394,36 +349,29 @@ def diversity_sweep(
     spec: SplitSpec,
     params: PipelineParams,
     store: DescriptorStore | None = None,
-    class_seed: int | None = None,
 ) -> list[SummaryRow]:
     """Dictionary quality as a function of source class diversity.
 
     Class subsets are nested: the classes used at each count contain those
-    used at every smaller count (same seeded permutation throughout).
+    used at every smaller count (same seeded permutation throughout, from
+    the first run seed).
     """
-    if list(class_counts) != sorted(class_counts):
-        raise ValueError("class_counts must be sorted ascending")
+    if not class_counts or any(a >= b for a, b in zip(class_counts, class_counts[1:])):
+        raise ValueError("class_counts must be non-empty and sorted strictly ascending")
     if class_counts[-1] > len(source.class_labels):
         raise ValueError(
             f"class_counts max {class_counts[-1]} exceeds "
             f"{len(source.class_labels)} classes in {source.name}"
         )
     store = store if store is not None else DescriptorStore(params.grid)
-    if class_seed is None:
-        class_seed = spec.run_seeds[0] + CLASS_SEED_OFFSET
     store.pool(source)
     store.pool(target)
 
     rows: list[SummaryRow] = []
     for count in class_counts:
-        sub = select_classes(source, count, class_seed)
+        sub = select_classes(source, count, spec.run_seeds[0] + CLASS_SEED_OFFSET)
         logger.info("sweep count=%d classes=%s", count, ",".join(sub.class_labels))
-        dicts = _dictionaries_for_runs(sub, spec.run_seeds, params, store, class_note=str(count))
-        jobs = [(dicts[seed], target, n_train, seed) for seed in spec.run_seeds]
-        trials = _run_trials(jobs, params, store)
-        rows.append(
-            _summarize("sweep", source.name, str(count), target.name, n_train, params, trials)
-        )
+        rows += _curve("sweep", sub, str(count), target, [n_train], spec, params, store)
     return rows
 
 
@@ -443,20 +391,5 @@ def write_summary_csv(rows: Iterable[SummaryRow], path: str | Path) -> None:
         if fresh:
             writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    row.dict_source,
-                    row.dict_classes,
-                    row.target,
-                    row.n_train,
-                    row.k,
-                    repr(float(row.sigma)),
-                    row.assignment,
-                    row.pooling,
-                    row.n_runs,
-                    repr(float(row.mean_acc)),
-                    repr(float(row.ci_low)),
-                    repr(float(row.ci_high)),
-                ]
-            )
+            writer.writerow([repr(float(v)) if is_float else v
+                             for v, is_float in zip(astuple(row), _FLOAT_CELLS)])

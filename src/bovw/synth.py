@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DatasetManifest, Image, load_manifest, save_image
+from .corpus import DatasetManifest, Image, ManifestEntry, load_manifest, save_image, save_manifest
 
 
 TEXTURE_KINDS = ("grating", "plaid", "checker")
@@ -115,7 +115,7 @@ def generate_corpus(
     so regeneration is byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
+    entries = []
     for ci, spec in enumerate(specs):
         class_dir = out_dir / spec.name
         class_dir.mkdir(exist_ok=True)
@@ -124,9 +124,9 @@ def generate_corpus(
             img = render_texture(spec, size, rng)
             rel = f"{spec.name}/img_{ii:04d}.pgm"
             save_image(img, out_dir / rel)
-            lines.append(f"{rel}\t{spec.name}")
+            entries.append(ManifestEntry(rel, spec.name))
     manifest_path = out_dir / f"{name}.manifest"
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_manifest(DatasetManifest(name, tuple(entries)), manifest_path)
     return manifest_path
 
 

@@ -1,4 +1,8 @@
+import re
+import shlex
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,10 @@ class TestConfidenceInterval:
                 t = scipy_stats.t.ppf(1 - alpha / 2, n - 1)
                 s = np.std(vals, ddof=1)
                 assert high - mean == pytest.approx(t * s / np.sqrt(n), rel=2e-4)
+
+    def test_pipeline_params_reject_unsupported_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            PipelineParams(alpha=0.07)
 
     def test_large_n_uses_normal_limit(self):
         vals = [0.0, 1.0] * 20  # n = 40, beyond the table
@@ -243,6 +251,34 @@ class TestExperiments:
             diversity_sweep(micro_corpus, [3, 1], micro_corpus, 3, spec, micro_params,
                             store=micro_store)
 
+    @pytest.mark.parametrize("counts", [[], [2, 2]])
+    def test_sweep_empty_or_repeated_counts_rejected(self, micro_corpus, micro_store,
+                                                     micro_params, counts):
+        spec = SplitSpec(n_train_per_class=3, run_seeds=(0,))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            diversity_sweep(micro_corpus, counts, micro_corpus, 3, spec, micro_params,
+                            store=micro_store)
+
+    def test_rows_independent_of_seed_order(self, micro_corpus, micro_store, micro_params,
+                                            monkeypatch):
+        # per-seed accuracies whose interval bytes depend on the order they are summed in
+        acc = {0: 0.1, 1: 0.2, 2: 0.7}
+        real = bovw.harness.run_trial
+        monkeypatch.setattr(bovw.harness, "run_trial",
+                            lambda *args: replace(real(*args), accuracy=acc[args[3]]))
+
+        # at the full class count the sweep's subset does not depend on the first seed
+        def rows(run_seeds):
+            spec = SplitSpec(n_train_per_class=2, run_seeds=run_seeds)
+            return (
+                cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
+                                      store=micro_store),
+                diversity_sweep(micro_corpus, [3], micro_corpus, 2, spec, micro_params,
+                                store=micro_store),
+            )
+
+        assert rows((2, 0, 1)) == rows((0, 1, 2))
+
     def test_sweep_count_beyond_classes_rejected(self, micro_corpus, micro_store, micro_params):
         spec = SplitSpec(n_train_per_class=3, run_seeds=(0,))
         with pytest.raises(ValueError, match="exceeds"):
@@ -293,12 +329,18 @@ class TestSummaryCsv:
         assert path.read_text() == first_line + "\n1,2,3\n"
 
     def test_row_contents(self, tmp_path):
+        # float-typed fields are written as repr(float(v)), whatever type they hold
+        from bovw.harness import SummaryRow
+
+        row = SummaryRow("sweep", "src", "2", "tgt", 5, 100, 60, "hard", "average", 1,
+                         np.float64(0.1) + 0.2, np.float32(0.25), 1)
         path = tmp_path / "out.csv"
-        write_summary_csv([self._row()], path)
-        fields = path.read_text().strip().splitlines()[1].split(",")
-        assert fields[0] == "crossbase"
-        assert fields[4] == "5"
-        assert float(fields[10]) == 0.5
+        write_summary_csv([row], path)
+        assert path.read_bytes() == (
+            b"experiment,dict_source,dict_classes,target,n_train,k,sigma,assignment,"
+            b"pooling,n_runs,mean_acc,ci_low,ci_high\r\n"
+            b"sweep,src,2,tgt,5,100,60.0,hard,average,1,0.30000000000000004,0.25,1.0\r\n"
+        )
 
 
 class TestSynth:
@@ -376,3 +418,46 @@ class TestCli:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+
+    def test_sweep_command_writes_api_csv(self, tmp_path, micro_corpus, micro_store):
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        csv_path = tmp_path / "res.csv"
+        out = run_cli("sweep", "--source", manifest, "--target", manifest,
+                      "--class-counts", "1,3", "--ntrain", "3", "--k", "12", "--runs", "2",
+                      "--seed", "4", "--out", str(csv_path))
+        assert out.returncode == 0, out.stderr
+        rows = diversity_sweep(micro_corpus, [1, 3], micro_corpus, 3,
+                               SplitSpec(n_train_per_class=3, run_seeds=(4, 5)),
+                               PipelineParams(k=12), store=micro_store)
+        write_summary_csv(rows, tmp_path / "api.csv")
+        assert csv_path.read_bytes() == (tmp_path / "api.csv").read_bytes()
+        assert out.stdout.splitlines() == [
+            f"sweep dict=micro classes={r.dict_classes} target=micro n_train=3 "
+            f"acc={r.mean_acc:.4f} ci=[{r.ci_low:.4f}, {r.ci_high:.4f}]"
+            for r in rows
+        ]
+
+    def test_unsupported_alpha_fails_before_any_trial(self, tmp_path, micro_corpus):
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        out = run_cli("-v", "crossbase", "--source", manifest, "--target", manifest,
+                      "--ntrain", "3", "--k", "12", "--runs", "2", "--alpha", "0.07",
+                      "--out", str(tmp_path / "res.csv"))
+        assert out.returncode != 0
+        assert "alpha must be one of" in out.stderr
+        assert "trial seed=" not in out.stderr
+        assert not (tmp_path / "res.csv").exists()
+
+    def test_readme_commands_parse(self):
+        from bovw.cli import build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        commands = [shlex.split(line, comments=True)
+                    for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                    if line.lstrip().startswith("bovw ")]
+        assert {"synth", "crossbase", "sweep"} <= {argv[1] for argv in commands}
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
