@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import binfile
+
 MODEL_MAGIC = b"BVWM"
 MODEL_VERSION = 1
 
@@ -129,37 +131,15 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     """Binary model file: header with the label table, then per class the
     k weights followed by the bias, all little-endian float64."""
     n_cls, k = model.weights.shape
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<3I", MODEL_VERSION, n_cls, k)
-    for label in model.labels:
-        raw = label.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
     rows = np.hstack([model.weights, model.biases[:, np.newaxis]])
-    out += np.ascontiguousarray(rows, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    binfile.write(path, MODEL_MAGIC, MODEL_VERSION, struct.pack("<2I", n_cls, k),
+                  *map(binfile.pack_str, model.labels),
+                  np.ascontiguousarray(rows, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> LinearModel:
-    data = Path(path).read_bytes()
-    if data[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a linear model file")
-    try:
-        version, n_cls, k = struct.unpack_from("<3I", data, 4)
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        pos = 16
-        labels = []
-        for _ in range(n_cls):
-            (n,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            labels.append(data[pos : pos + n].decode("utf-8"))
-            pos += n
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated model header") from exc
-    expected = pos + n_cls * (k + 1) * 8
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated model ({len(data)} bytes, expected {expected})")
-    rows = np.frombuffer(data, dtype="<f8", count=n_cls * (k + 1), offset=pos)
-    rows = rows.reshape(n_cls, k + 1)
+    reader = binfile.Reader(path, MODEL_MAGIC, MODEL_VERSION, "linear model")
+    n_cls, k = reader.fields("<2I")
+    labels = [reader.string() for _ in range(n_cls)]
+    rows = reader.array("<f8", n_cls * (k + 1)).reshape(n_cls, k + 1)
     return LinearModel(weights=rows[:, :k].copy(), biases=rows[:, k].copy(), labels=labels)

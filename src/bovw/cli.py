@@ -112,14 +112,19 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _labelled_bows(args) -> tuple:
+    """The ``--bows`` matrix and its labels, one per row, from ``--manifest``."""
     manifest = load_manifest(args.manifest)
     mat, _ = encoding.load_bows(args.bows)
     if len(mat) != len(manifest):
         raise SystemExit(
             f"bow file has {len(mat)} rows but manifest has {len(manifest)} entries"
         )
-    labels = [e.label for e in manifest.entries]
+    return mat, [e.label for e in manifest.entries]
+
+
+def cmd_train(args) -> int:
+    mat, labels = _labelled_bows(args)
     cfg = classifier.TrainConfig(c_reg=args.c_reg, epochs=args.epochs, seed=args.seed)
     model = classifier.train_ovr(mat, labels, cfg)
     classifier.save_model(model, args.out)
@@ -128,14 +133,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.manifest)
-    mat, _ = encoding.load_bows(args.bows)
-    if len(mat) != len(manifest):
-        raise SystemExit(
-            f"bow file has {len(mat)} rows but manifest has {len(manifest)} entries"
-        )
+    mat, labels = _labelled_bows(args)
     model = classifier.load_model(args.model)
-    acc = classifier.accuracy(model, mat, [e.label for e in manifest.entries])
+    acc = classifier.accuracy(model, mat, labels)
     print(f"accuracy\t{acc!r}")
     return 0
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import binfile
 from .features import DESCRIPTOR_DIMS, DescriptorSet
 
 CODEBOOK_MAGIC = b"BVWC"
@@ -94,58 +95,24 @@ def build_random_codebook(
 
 
 def save_codebook(cb: Codebook, path: str | Path) -> None:
-    """Binary codebook file: header plus the k x 128 byte word matrix."""
-    out = bytearray()
-    out += CODEBOOK_MAGIC
-    out += struct.pack("<3I", CODEBOOK_VERSION, cb.k, DESCRIPTOR_DIMS)
-    out += struct.pack("<q", cb.seed)
-    out += _pack_str(cb.source_name)
-    out += struct.pack("<I", len(cb.source_classes))
-    for label in cb.source_classes:
-        out += _pack_str(label)
-    out += cb.words.tobytes()
-    Path(path).write_bytes(bytes(out))
+    """Binary codebook file: header (magic, version, k, dims, seed, source
+    name, source classes) plus the k x 128 byte word matrix."""
+    binfile.write(path, CODEBOOK_MAGIC, CODEBOOK_VERSION,
+                  struct.pack("<2Iq", cb.k, DESCRIPTOR_DIMS, cb.seed),
+                  binfile.pack_str(cb.source_name),
+                  struct.pack("<I", len(cb.source_classes)),
+                  *map(binfile.pack_str, cb.source_classes),
+                  np.ascontiguousarray(cb.words))
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    data = Path(path).read_bytes()
-    if data[:4] != CODEBOOK_MAGIC:
-        raise ValueError(f"{path}: not a codebook file")
-    try:
-        version, k, dims = struct.unpack_from("<3I", data, 4)
-        if version != CODEBOOK_VERSION:
-            raise ValueError(f"{path}: unsupported codebook version {version}")
-        if dims != DESCRIPTOR_DIMS:
-            raise ValueError(f"{path}: unexpected word dims {dims}")
-        (seed,) = struct.unpack_from("<q", data, 16)
-        pos = 24
-        source_name, pos = _unpack_str(data, pos)
-        (n_classes,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        classes = []
-        for _ in range(n_classes):
-            label, pos = _unpack_str(data, pos)
-            classes.append(label)
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated codebook header") from exc
-    expected = pos + k * dims
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated codebook ({len(data)} bytes, expected {expected})")
-    words = np.frombuffer(data, dtype=np.uint8, count=k * dims, offset=pos).reshape(k, dims)
-    return Codebook(
-        words=words.copy(),
-        source_name=source_name,
-        source_classes=tuple(classes),
-        seed=int(seed),
-    )
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _unpack_str(data: bytes, pos: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    return data[pos : pos + n].decode("utf-8"), pos + n
+    reader = binfile.Reader(path, CODEBOOK_MAGIC, CODEBOOK_VERSION, "codebook")
+    k, dims, seed = reader.fields("<2Iq")
+    if dims != DESCRIPTOR_DIMS:
+        raise ValueError(f"{path}: unexpected word dims {dims}")
+    source_name = reader.string()
+    (n_classes,) = reader.fields("<I")
+    classes = tuple(reader.string() for _ in range(n_classes))
+    words = reader.array(np.uint8, k * dims).reshape(k, dims)
+    return Codebook(words=words.copy(), source_name=source_name,
+                    source_classes=classes, seed=seed)

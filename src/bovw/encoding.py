@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import binfile
 from .codebook import Codebook
 from .features import DescriptorSet
 
@@ -137,29 +138,17 @@ def save_bows(bows: Sequence[BowVector], path: str | Path) -> None:
     for b in bows:
         if len(b) != k or b.codebook_id != codebook_id:
             raise ValueError("all vectors in a batch must share k and codebook")
-    raw = codebook_id.encode("utf-8")
-    header = BOW_MAGIC + struct.pack("<4I", BOW_VERSION, len(bows), k, len(raw)) + raw
-    body = b"".join(np.ascontiguousarray(b.h, dtype="<f8").tobytes() for b in bows)
-    Path(path).write_bytes(header + body)
+    binfile.write(path, BOW_MAGIC, BOW_VERSION,
+                  struct.pack("<2I", len(bows), k), binfile.pack_str(codebook_id),
+                  *(np.ascontiguousarray(b.h, dtype="<f8") for b in bows))
 
 
 def load_bows(path: str | Path) -> tuple[np.ndarray, str]:
     """Read a batch file back as ((count, k) array, codebook id)."""
-    data = Path(path).read_bytes()
-    if data[:4] != BOW_MAGIC:
-        raise ValueError(f"{path}: not a bag-of-words batch file")
-    if len(data) < 20:
-        raise ValueError(f"{path}: truncated batch header")
-    version, count, k, id_len = struct.unpack_from("<4I", data, 4)
-    if version != BOW_VERSION:
-        raise ValueError(f"{path}: unsupported batch version {version}")
-    pos = 20
-    codebook_id = data[pos : pos + id_len].decode("utf-8")
-    pos += id_len
-    expected = pos + count * k * 8
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated batch ({len(data)} bytes, expected {expected})")
-    mat = np.frombuffer(data, dtype="<f8", count=count * k, offset=pos).reshape(count, k)
+    reader = binfile.Reader(path, BOW_MAGIC, BOW_VERSION, "bag-of-words batch")
+    count, k = reader.fields("<2I")
+    codebook_id = reader.string()
+    mat = reader.array("<f8", count * k).reshape(count, k)
     return mat.copy(), codebook_id
 
 

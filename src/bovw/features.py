@@ -9,15 +9,14 @@ no scale pyramid: one patch size, grid stride in pixels.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import binfile
 from .corpus import Image
 
 DESCRIPTOR_DIMS = 128
@@ -171,37 +170,19 @@ def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParam
     The file is replaced atomically.
     """
     n = len(ds)
-    header = CACHE_MAGIC + struct.pack(
-        "<5I", CACHE_VERSION, n, DESCRIPTOR_DIMS, params.stride, params.patch_size
-    )
     records = np.empty(n, dtype=_CACHE_RECORD)
     records["xy"] = ds.keypoints
     records["desc"] = ds.descriptors
-    # write a uniquely named file beside the target, then rename it over the
-    # target: readers see the old file or the whole new one (not mkstemp,
-    # whose 0600 mode would ignore the umask)
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(header + records.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    binfile.write(path, CACHE_MAGIC, CACHE_VERSION,
+                  struct.pack("<4I", n, DESCRIPTOR_DIMS, params.stride, params.patch_size),
+                  records)
 
 
 def load_descriptor_cache(
     path: str | Path, params: GridParams, source_image: str = ""
 ) -> DescriptorSet:
-    data = Path(path).read_bytes()
-    if data[:4] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a descriptor cache file")
-    if len(data) < 24:
-        raise ValueError(f"{path}: truncated cache header")
-    version, n, dims, stride, patch = struct.unpack_from("<5I", data, 4)
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
+    reader = binfile.Reader(path, CACHE_MAGIC, CACHE_VERSION, "descriptor cache")
+    n, dims, stride, patch = reader.fields("<4I")
     if dims != DESCRIPTOR_DIMS:
         raise ValueError(f"{path}: unexpected descriptor dims {dims}")
     if (stride, patch) != (params.stride, params.patch_size):
@@ -209,10 +190,7 @@ def load_descriptor_cache(
             f"{path}: cache built with stride={stride}, patch={patch}; "
             f"requested stride={params.stride}, patch={params.patch_size}"
         )
-    expected = 24 + n * _CACHE_RECORD.itemsize
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated cache ({len(data)} bytes, expected {expected})")
-    records = np.frombuffer(data, dtype=_CACHE_RECORD, count=n, offset=24)
+    records = reader.array(_CACHE_RECORD, n)
     return DescriptorSet(
         keypoints=records["xy"].astype(np.int32),
         descriptors=records["desc"].copy(),

@@ -130,6 +130,7 @@ class PipelineParams:
             raise ValueError("workers must be >= 1")
         if self.alpha not in _T_TABLE:
             raise ValueError(f"alpha must be one of {sorted(_T_TABLE)}")
+        TrainConfig(self.c_reg, self.epochs)  # its checks, before any extraction
 
 
 class DescriptorStore:
@@ -140,8 +141,8 @@ class DescriptorStore:
     rewritten. Warm the store before handing it to concurrent trials.
 
     The store also keeps one encoding slot: the latest manifest encoded by
-    ``encode``, as its per-image k-vectors, keyed by the manifest, the
-    codebook id and the encoding params. Trials that share a dictionary
+    ``encode``, as its (n, k) matrix of per-image k-vectors, keyed by the
+    manifest, the codebook id and the encoding params. Trials that share a dictionary
     (every training size of one run seed) thus encode the target once.
     Concurrent trials may each encode on a miss; the slot is replaced
     whole, never mutated, so every caller reads a complete encoding.
@@ -153,7 +154,7 @@ class DescriptorStore:
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._memory: dict[Path, DescriptorSet] = {}
-        self._encoding: tuple[tuple, list[np.ndarray]] | None = None
+        self._encoding: tuple[tuple, np.ndarray] | None = None
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
         path = manifest.resolve(entry)
@@ -183,13 +184,15 @@ class DescriptorStore:
 
     def encode(
         self, manifest: DatasetManifest, cb: Codebook, params: EncodingParams
-    ) -> list[np.ndarray]:
-        """Pooled k-vector of every entry, in manifest order, through the
-        one-slot encoding memo."""
+    ) -> np.ndarray:
+        """Pooled k-vectors of every entry as rows of an (n, k) matrix, in
+        manifest order, through the one-slot encoding memo."""
         key = (manifest, manifest.base_dir, cb.codebook_id, params)
         slot = self._encoding
         if slot is None or slot[0] != key:
-            bows = [encode_image(self.get(manifest, e), cb, params).h for e in manifest.entries]
+            bows = np.empty((len(manifest), cb.k), dtype=np.float64)
+            for row, e in zip(bows, manifest.entries):
+                row[:] = encode_image(self.get(manifest, e), cb, params).h
             slot = self._encoding = (key, bows)
         return slot[1]
 
@@ -233,8 +236,8 @@ def run_trial(
     labels = [e.label for e in target.entries]
     train_idx, test_idx = split_balanced(target, n_train, run_seed + SPLIT_SEED_OFFSET)
     cfg = TrainConfig(c_reg=params.c_reg, epochs=params.epochs, seed=run_seed + TRAIN_SEED_OFFSET)
-    model = train_ovr(np.array([bows[i] for i in train_idx]), [labels[i] for i in train_idx], cfg)
-    acc = accuracy(model, np.array([bows[i] for i in test_idx]), [labels[i] for i in test_idx])
+    model = train_ovr(bows[train_idx], [labels[i] for i in train_idx], cfg)
+    acc = accuracy(model, bows[test_idx], [labels[i] for i in test_idx])
     logger.info(
         "trial seed=%d n_train=%d dict=%s acc=%.4f",
         run_seed, n_train, dictionary.codebook_id, acc,
@@ -354,10 +357,11 @@ def diversity_sweep(
 
     Class subsets are nested: the classes used at each count contain those
     used at every smaller count (same seeded permutation throughout, from
-    the first run seed).
+    the smallest run seed, so the rows do not depend on the seeds' order).
     """
-    if not class_counts or any(a >= b for a, b in zip(class_counts, class_counts[1:])):
-        raise ValueError("class_counts must be non-empty and sorted strictly ascending")
+    if (not class_counts or class_counts[0] < 1
+            or any(a >= b for a, b in zip(class_counts, class_counts[1:]))):
+        raise ValueError("class_counts must be non-empty, positive and sorted strictly ascending")
     if class_counts[-1] > len(source.class_labels):
         raise ValueError(
             f"class_counts max {class_counts[-1]} exceeds "
@@ -369,7 +373,7 @@ def diversity_sweep(
 
     rows: list[SummaryRow] = []
     for count in class_counts:
-        sub = select_classes(source, count, spec.run_seeds[0] + CLASS_SEED_OFFSET)
+        sub = select_classes(source, count, min(spec.run_seeds) + CLASS_SEED_OFFSET)
         logger.info("sweep count=%d classes=%s", count, ",".join(sub.class_labels))
         rows += _curve("sweep", sub, str(count), target, [n_train], spec, params, store)
     return rows

@@ -1,6 +1,4 @@
 import hashlib
-import os
-import stat
 import struct
 
 import numpy as np
@@ -211,32 +209,3 @@ class TestDescriptorCache:
         b = cache_path(tmp_path, "im.pgm", GridParams(stride=8))
         c = cache_path(tmp_path, "other.pgm", GridParams())
         assert len({a, b, c}) == 3
-
-    def test_save_replaces_file_and_leaves_no_temp(self, tmp_path):
-        params = GridParams()
-        path = tmp_path / "x.desc"
-        path.write_bytes(b"stale")
-        ds = extract_dense_sift(random_image(32, 32, 7), params)
-        save_descriptor_cache(path, ds, params)
-        assert [p.name for p in tmp_path.iterdir()] == ["x.desc"]
-        assert np.array_equal(load_descriptor_cache(path, params).descriptors, ds.descriptors)
-        # same permissions as any file the process creates (the umask applies)
-        plain = tmp_path / "plain"
-        plain.write_bytes(b"")
-        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
-
-    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
-        params = GridParams()
-        path = tmp_path / "x.desc"
-        old = extract_dense_sift(random_image(32, 32, 8), params)
-        save_descriptor_cache(path, old, params)
-        before = path.read_bytes()
-
-        def crash(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", crash)
-        with pytest.raises(OSError, match="disk full"):
-            save_descriptor_cache(path, extract_dense_sift(random_image(32, 32, 9), params), params)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["x.desc"]

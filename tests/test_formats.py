@@ -1,6 +1,9 @@
-"""Every binary reader fails on a cut or damaged file with the documented
-ValueError."""
+"""The four binary formats: pinned bytes, atomic replacement, and the
+documented ValueError on a cut or damaged file."""
 
+import hashlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -40,6 +43,53 @@ FORMATS = {
     "model": (save_model_file, load_model),
 }
 MAGICS = {"cache": CACHE_MAGIC, "codebook": CODEBOOK_MAGIC, "bows": BOW_MAGIC, "model": MODEL_MAGIC}
+# sha256 of each sample file; saved files are what later runs load, so their
+# bytes change only with a new format version
+SHA256 = {
+    "cache": "efac035016ff6b09c9cd530db1dc78073d641e8eb56d44f28a2b2aabf0581b5e",
+    "codebook": "653ddd144efe15c7e2291b88de44b37a3d560bf5ea636e29023570b502b844f8",
+    "bows": "664fb2a9893c08b2e48601ffbc172634c4e1f3928e61ac5302dd7c5b4a7ea588",
+    "model": "b7adedf2c4e42440f77be9075941367074527be640c1255db0899003f8387714",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_bytes_pinned(fmt, tmp_path):
+    save, load = FORMATS[fmt]
+    path = tmp_path / "x.bin"
+    save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHA256[fmt]
+    load(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_save_replaces_file_and_leaves_no_temp(fmt, tmp_path):
+    save, load = FORMATS[fmt]
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"stale")
+    save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHA256[fmt]
+    load(path)
+    # same permissions as any file the process creates (the umask applies)
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_failed_save_keeps_old_file(fmt, tmp_path, monkeypatch):
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"old")
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        FORMATS[fmt][0](path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

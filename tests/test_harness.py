@@ -251,7 +251,7 @@ class TestExperiments:
             diversity_sweep(micro_corpus, [3, 1], micro_corpus, 3, spec, micro_params,
                             store=micro_store)
 
-    @pytest.mark.parametrize("counts", [[], [2, 2]])
+    @pytest.mark.parametrize("counts", [[], [2, 2], [0, 2]])
     def test_sweep_empty_or_repeated_counts_rejected(self, micro_corpus, micro_store,
                                                      micro_params, counts):
         spec = SplitSpec(n_train_per_class=3, run_seeds=(0,))
@@ -264,17 +264,24 @@ class TestExperiments:
         # per-seed accuracies whose interval bytes depend on the order they are summed in
         acc = {0: 0.1, 1: 0.2, 2: 0.7}
         real = bovw.harness.run_trial
-        monkeypatch.setattr(bovw.harness, "run_trial",
-                            lambda *args: replace(real(*args), accuracy=acc[args[3]]))
+        trials = []
 
-        # at the full class count the sweep's subset does not depend on the first seed
+        def trial(*args):
+            trials.append(replace(real(*args), accuracy=acc[args[3]]))
+            return trials[-1]
+
+        monkeypatch.setattr(bovw.harness, "run_trial", trial)
+
         def rows(run_seeds):
+            # the rows, and which dictionary each seed's trials used
+            trials.clear()
             spec = SplitSpec(n_train_per_class=2, run_seeds=run_seeds)
             return (
                 cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
                                       store=micro_store),
-                diversity_sweep(micro_corpus, [3], micro_corpus, 2, spec, micro_params,
+                diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, micro_params,
                                 store=micro_store),
+                set(trials),
             )
 
         assert rows((2, 0, 1)) == rows((0, 1, 2))
@@ -445,6 +452,21 @@ class TestCli:
         assert out.returncode != 0
         assert "alpha must be one of" in out.stderr
         assert "trial seed=" not in out.stderr
+        assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["crossbase", "--ntrain", "3", "--epochs", "0"], "epochs must be >= 1"),
+        (["crossbase", "--ntrain", "3", "--c-reg", "0"], "c_reg must be positive"),
+        (["sweep", "--ntrain", "3", "--class-counts", "0,2"], "class_counts must be"),
+    ])
+    def test_bad_input_fails_before_any_extraction(self, tmp_path, micro_corpus, argv, message):
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        cache = tmp_path / "cache"
+        out = run_cli(*argv, "--source", manifest, "--target", manifest, "--k", "12",
+                      "--runs", "2", "--cache-dir", str(cache), "--out", str(tmp_path / "res.csv"))
+        assert out.returncode != 0
+        assert message in out.stderr
+        assert list(cache.glob("*")) == []
         assert not (tmp_path / "res.csv").exists()
 
     def test_readme_commands_parse(self):
