@@ -70,12 +70,16 @@ class Reader:
 
     def array(self, dtype, count: int) -> np.ndarray:
         """The rest of the file as ``count`` items of ``dtype``: a read-only
-        view, which must cover the file to its last byte."""
+        view, which must end at the file's last byte (a shorter file is
+        truncated, a longer one has trailing bytes)."""
         dtype = np.dtype(dtype)
         expected = self._pos + count * dtype.itemsize
-        if len(self._data) != expected:
+        if len(self._data) < expected:
             raise ValueError(
                 f"{self.path}: truncated {self.kind} "
                 f"({len(self._data)} bytes, expected {expected})"
             )
+        if len(self._data) > expected:
+            raise ValueError(f"{self.path}: {len(self._data) - expected} trailing bytes "
+                             f"after the {expected}-byte {self.kind}")
         return np.frombuffer(self._data, dtype=dtype, count=count, offset=self._pos)

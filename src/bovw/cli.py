@@ -29,7 +29,9 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=1000, help="dictionary size")
     p.add_argument("--runs", type=int, default=5, help="repetitions per configuration")
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
-    p.add_argument("--workers", type=int, default=1, help="concurrent trials")
+    p.add_argument("--workers", type=int, default=1,
+                   help="concurrent trials; no measured speed-up, and threads evict each "
+                        "other's target encoding from the one-slot memo")
     p.add_argument("--alpha", type=float, default=0.05, help="confidence level")
     p.add_argument("--c-reg", type=float, default=1.0, help="SVM regularization C")
     p.add_argument("--epochs", type=int, default=50, help="SVM training epochs")
@@ -117,9 +119,7 @@ def _labelled_bows(args) -> tuple:
     manifest = load_manifest(args.manifest)
     mat, _ = encoding.load_bows(args.bows)
     if len(mat) != len(manifest):
-        raise SystemExit(
-            f"bow file has {len(mat)} rows but manifest has {len(manifest)} entries"
-        )
+        raise ValueError(f"bow file has {len(mat)} rows but manifest has {len(manifest)} entries")
     return mat, [e.label for e in manifest.entries]
 
 
@@ -265,7 +265,12 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        # a value the library rejects is bad input, reported like argparse's
+        print(f"bovw {args.command}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

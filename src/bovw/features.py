@@ -60,6 +60,8 @@ class DescriptorSet:
             raise ValueError("descriptor set must contain at least one point")
         if self.descriptors.shape[1] != DESCRIPTOR_DIMS:
             raise ValueError(f"descriptors must have {DESCRIPTOR_DIMS} dims")
+        if self.descriptors.dtype != np.uint8:
+            raise ValueError("descriptors must be uint8")
 
     def __len__(self) -> int:
         return len(self.keypoints)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bovw.codebook import Codebook
 from bovw.encoding import (
+    _CHUNK,
     BowVector,
     EncodingParams,
     encode_image,
@@ -16,7 +17,7 @@ from bovw.encoding import (
     save_bows,
     soft_assign,
 )
-from bovw.features import DescriptorSet
+from bovw.features import DESCRIPTOR_DIMS, DescriptorSet
 
 from conftest import random_descriptor_set
 from oracles import bow_reference, soft_row
@@ -130,9 +131,29 @@ def encode_points(pts, words, assignment="soft", pooling="max") -> np.ndarray:
 
 
 def exact_d2(pts, words) -> np.ndarray:
-    """Squared distances by direct integer differences."""
-    diff = np.asarray(pts, np.int64)[:, np.newaxis, :] - np.asarray(words, np.int64)[np.newaxis]
-    return (diff * diff).sum(axis=2).astype(np.float64)
+    """Squared distances by direct integer differences, 16 points at a time."""
+    pts, words = np.asarray(pts, np.int64), np.asarray(words, np.int64)
+    d2 = np.empty((len(pts), len(words)))
+    for start in range(0, len(pts), 16):
+        diff = pts[start : start + 16, np.newaxis, :] - words[np.newaxis]
+        d2[start : start + 16] = (diff * diff).sum(axis=2)
+    return d2
+
+
+def pooled_reference(d2, assignment, pooling, sigma, l2_normalize) -> np.ndarray:
+    """``soft_assign``/``hard_assign`` rows on ``d2``, pooled in the order
+    encode_image pools: average sums rows chunk by chunk."""
+    rows = soft_assign(d2, sigma) if assignment == "soft" else hard_assign(d2)
+    if pooling == "max":
+        h = rows.max(axis=0)
+    else:
+        h = np.zeros(rows.shape[1])
+        for start in range(0, len(rows), _CHUNK):
+            h += rows[start : start + _CHUNK].sum(axis=0)
+        h /= len(rows)
+    if l2_normalize:
+        h /= np.linalg.norm(h)
+    return h
 
 
 class TestPooling:
@@ -237,9 +258,7 @@ class TestEncodeImage:
             ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
             got = encode_image(ds, make_codebook(words),
                                EncodingParams(sigma=sigma, assignment=assignment, pooling=pooling))
-            d2 = exact_d2(pts, words)
-            rows = soft_assign(d2, sigma) if assignment == "soft" else hard_assign(d2)
-            want = rows.max(axis=0) if pooling == "max" else rows.sum(axis=0) / n
+            want = pooled_reference(exact_d2(pts, words), assignment, pooling, sigma, False)
             assert np.array_equal(got.h, want)
 
     def test_soft_max_bounds(self):
@@ -303,6 +322,67 @@ class TestEncodeImage:
             DescriptorSet(ds.keypoints, ds.descriptors[:, :64].copy(), "im")
         with pytest.raises(ValueError):
             make_codebook(np.zeros((2, 64)))
+
+
+def test_float32_distances_are_exact_for_byte_descriptors():
+    # encode_image computes w^2 - 2 p.w by a float32 GEMM and takes argmin
+    # over it; that is exact only while every term and partial sum of
+    # p^2 + w^2 - 2 p.w is an integer below 2^24. Wider descriptors would
+    # make the encoder silently inexact, so this fails first.
+    assert 2 * DESCRIPTOR_DIMS * 255**2 < 2**24
+
+
+def test_descriptors_must_be_bytes():
+    with pytest.raises(ValueError, match="uint8"):
+        DescriptorSet(np.zeros((1, 2), np.int32), np.full((1, 128), 256, np.int64), "im")
+
+
+def extreme_bytes(n: int, seed: int) -> np.ndarray:
+    """Random byte rows whose first rows are all-255 then all-0 (as many as
+    fit), so p^2 + w^2 reaches 2 * 128 * 255^2 against an all-255 word."""
+    rows = np.random.default_rng(seed).integers(0, 256, (n, DESCRIPTOR_DIMS)).astype(np.uint8)
+    rows[0] = 255
+    rows[1:2] = 0
+    return rows
+
+
+class TestExactKernel:
+    """encode_image at k=1000 across the chunk boundary, == against the
+    float64 formulas on direct-difference distances."""
+
+    # words 2 and 3 repeat words 0 and 1, so nearest-word ties occur
+    WORDS = extreme_bytes(1000, 20)
+    WORDS[2:4] = WORDS[0:2]
+    SIZES = (1, 511, 512, 513, 1025)
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return {n: (pts := extreme_bytes(n, n), exact_d2(pts, self.WORDS)) for n in self.SIZES}
+
+    @pytest.mark.parametrize("l2_normalize", [False, True])
+    @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "average"),
+                                                    ("soft", "average"), ("hard", "max")])
+    def test_bit_identical_at_k1000(self, cases, assignment, pooling, l2_normalize):
+        cb = make_codebook(self.WORDS)
+        for n, (pts, d2) in cases.items():
+            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            for sigma in (60.0, 7.5):
+                params = EncodingParams(sigma, assignment, pooling, l2_normalize)
+                want = pooled_reference(d2, assignment, pooling, sigma, l2_normalize)
+                assert np.array_equal(encode_image(ds, cb, params).h, want), (n, sigma)
+
+    def test_no_state_between_calls(self, cases):
+        # a call on another codebook and image size in between changes nothing
+        a = make_codebook(self.WORDS)
+        b = make_codebook(extreme_bytes(7, 21))
+        big, small = cases[513][0], cases[1][0]
+        calls = [(big, a), (small, b), (big, a), (small, a), (big, b)]
+        for assignment, pooling in (("soft", "max"), ("hard", "average")):
+            params = EncodingParams(assignment=assignment, pooling=pooling)
+            for pts, cb in calls:
+                ds = DescriptorSet(np.zeros((len(pts), 2), np.int32), pts, "im")
+                want = pooled_reference(exact_d2(pts, cb.words), assignment, pooling, 60.0, False)
+                assert np.array_equal(encode_image(ds, cb, params).h, want)
 
 
 class TestBowIO:

@@ -106,6 +106,20 @@ def test_every_strict_prefix_raises_value_error(fmt, tmp_path):
             load(cut)
 
 
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_length_error_names_the_fault(fmt, tmp_path):
+    save, load = FORMATS[fmt]
+    path = tmp_path / "x.bin"
+    save(path)
+    data = path.read_bytes()
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load(path)
+    path.write_bytes(data[:-1])
+    with pytest.raises(ValueError, match="truncated"):
+        load(path)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bovw.codebook import build_random_codebook
 from bovw.corpus import DatasetManifest, ManifestEntry, load_image, load_manifest
-from bovw.encoding import EncodingParams, encode_image
+from bovw.encoding import BowVector, EncodingParams, encode_image, save_bows
 from bovw.features import GridParams, cache_path, extract_dense_sift, load_descriptor_cache
 import bovw.harness
 from bovw.harness import (
@@ -468,6 +468,19 @@ class TestCli:
         assert message in out.stderr
         assert list(cache.glob("*")) == []
         assert not (tmp_path / "res.csv").exists()
+
+    def test_library_error_is_one_line(self, tmp_path, micro_corpus):
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        out = run_cli("crossbase", "--source", manifest, "--target", manifest, "--ntrain", "3",
+                      "--epochs", "0", "--out", str(tmp_path / "res.csv"))
+        assert out.returncode == 2
+        assert out.stderr == "bovw crossbase: error: epochs must be >= 1\n"
+        save_bows([BowVector(np.ones(3), "im", "cb")], tmp_path / "one.bin")
+        out = run_cli("train", "--bows", str(tmp_path / "one.bin"), "--manifest", manifest,
+                      "--out", str(tmp_path / "model.bin"))
+        assert out.returncode == 2
+        assert out.stderr == (f"bovw train: error: bow file has 1 rows but manifest has "
+                              f"{len(micro_corpus)} entries\n")
 
     def test_readme_commands_parse(self):
         from bovw.cli import build_parser
