@@ -2,11 +2,19 @@
 
 Each class gets a binary L2-regularized hinge-loss classifier against the
 rest. All binary problems share the per-epoch shuffled example order, so the
-joint vectorized update below is exactly the per-class sequential training.
+joint update below is exactly the per-class sequential training.
+
+Training is bit-identical to the textbook per-update formula on float64
+arrays, with one gemv per update and the margins read as Python floats.
+Exact because every class sign y_j is +1 or -1: y_j * v only flips the
+sign of v, eta*y_j*x equals +(eta*x) or -(eta*x), and a + (-c) equals a - c
+in IEEE arithmetic (see train_ovr).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,8 +35,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.c_reg <= 0:
-            raise ValueError("c_reg must be positive")
+        if not (math.isfinite(self.c_reg) and self.c_reg > 0):
+            raise ValueError("c_reg must be positive and finite")
+        if not isinstance(self.epochs, numbers.Integral):
+            raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -37,12 +47,14 @@ class TrainConfig:
 class LinearModel:
     weights: np.ndarray  # (C, k) float64
     biases: np.ndarray  # (C,) float64
-    labels: list[str]  # sorted, C >= 2
+    labels: list[str]  # strictly ascending, C >= 2
 
     def __post_init__(self) -> None:
         if len(self.labels) < 2:
             raise ValueError("model needs at least 2 classes")
-        if self.weights.shape != (len(self.labels), self.weights.shape[1]):
+        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+            raise ValueError("labels must be strictly ascending")
+        if self.weights.ndim != 2 or self.weights.shape[0] != len(self.labels):
             raise ValueError("weights must be (C, k)")
         if self.biases.shape != (len(self.labels),):
             raise ValueError("biases must be (C,)")
@@ -62,10 +74,24 @@ def train_ovr(
 ) -> LinearModel:
     """Train one binary hinge classifier per class (that class vs the rest).
 
-    Stochastic subgradient descent with step 1/(lambda*t) where
+    Stochastic subgradient descent with step eta = 1/(lambda*t) where
     lambda = 1/(c_reg*n) and t counts updates across epochs; the example
     order is reshuffled each epoch from the seeded generator. Deterministic:
     the same data and config always give the same model.
+
+    Bit-identical to the vectorized textbook update, per example x with
+    class signs y (+1 own, -1 rest):
+
+        margin = y * (W @ x + b); W *= 1 - eta*lam
+        for violated j (margin_j < 1): W_j += (eta*y_j) * x; b_j += eta*y_j
+
+    eta and the shrink factor are formed per epoch as float64 arrays (the
+    same division and products as the scalar formula), W @ x is the same
+    gemv, and the margins are the same additions read as Python floats:
+    the own class violates when s_j + b_j < 1, any other class when
+    -(s_j + b_j) < 1, a sign flip being exact. Because y_j = +-1,
+    (eta*y_j) * x == +-(eta*x) bit for bit and a + (-c) == a - c, so one
+    eta*x per update is added to or subtracted from the violated rows.
     """
     x = _as_matrix(x)
     n, k = x.shape
@@ -77,32 +103,38 @@ def train_ovr(
     if len(classes) < 2:
         raise ValueError("need at least 2 distinct classes to train")
     class_idx = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_idx[l] for l in labels], dtype=np.intp)
-    n_cls = len(classes)
-
-    # +1 for the row's own class, -1 for everyone else, per binary problem
-    signs = np.full((n, n_cls), -1.0)
-    signs[np.arange(n), y] = 1.0
+    own_class = [class_idx[l] for l in labels]
 
     lam = 1.0 / (cfg.c_reg * n)
-    w = np.zeros((n_cls, k), dtype=np.float64)
-    b = np.zeros(n_cls, dtype=np.float64)
+    w = np.zeros((len(classes), k), dtype=np.float64)
+    w_rows = list(w)  # row views, updated in place
+    b = [0.0] * len(classes)
+    scores = np.empty(len(classes), dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
-    t = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        eta = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1))
+        shrink = 1.0 - eta * lam
+        for i, eta_t, shrink_t in zip(order.tolist(), eta.tolist(), shrink.tolist()):
             xi = x[i]
-            ysign = signs[i]
-            margin = ysign * (w @ xi + b)
-            w *= 1.0 - eta * lam
-            violated = margin < 1.0
-            if violated.any():
-                step = eta * ysign[violated]
-                w[violated] += step[:, np.newaxis] * xi
-                b[violated] += step
-    return LinearModel(weights=w, biases=b, labels=classes)
+            np.matmul(w, xi, out=scores)
+            w *= shrink_t
+            own = own_class[i]
+            ex = None
+            for j, s_j in enumerate(scores.tolist()):
+                v = s_j + b[j]
+                if j == own:
+                    if v < 1.0:
+                        if ex is None:
+                            ex = eta_t * xi
+                        w_rows[j] += ex
+                        b[j] += eta_t
+                elif -v < 1.0:
+                    if ex is None:
+                        ex = eta_t * xi
+                    w_rows[j] -= ex
+                    b[j] -= eta_t
+    return LinearModel(weights=w, biases=np.array(b), labels=classes)
 
 
 def decision_scores(model: LinearModel, x: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ hard/average 16-18 -> 5.3 ms.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,8 +54,8 @@ class EncodingParams:
     l2_normalize: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
         if self.assignment not in ASSIGNMENTS:
             raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
         if self.pooling not in POOLINGS:
@@ -82,8 +83,8 @@ def soft_assign(d2: np.ndarray, sigma: float) -> np.ndarray:
     omitted; the row minimum is subtracted before exponentiation so the
     largest term is exp(0) and the denominator can never underflow to zero.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
     d2 = np.array(d2, dtype=np.float64)
     return _soft_rows(d2, sigma, out=d2)
 

@@ -3,12 +3,16 @@
 Everything here is deliberately written as plain scalar loops (stdlib math
 only, no numpy broadcasting) so it cannot share a code path, or a bug, with
 the library. These oracles define the reference semantics the vectorized
-implementations are checked against.
+implementations are checked against. The one exception is
+``train_ovr_reference``: the SVM training loop's textbook vectorized form,
+kept so the library's loop can be checked against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def grid_centers(width: int, height: int, stride: int, patch_size: int) -> list[tuple[int, int]]:
@@ -113,3 +117,40 @@ def bow_reference(points, words, sigma: float, assignment: str, pooling: str) ->
     if pooling == "max":
         return [max(rows[i][j] for i in range(n)) for j in range(k)]
     return [sum(rows[i][j] for i in range(n)) / n for j in range(k)]
+
+
+def train_ovr_reference(x, labels, c_reg: float = 1.0, epochs: int = 50, seed: int = 0):
+    """One-vs-rest hinge SVM by seeded subgradient descent, one vectorized
+    update per example: margins y * (W x + b), the shrink W *= 1 - eta*lam,
+    then W_j += eta*y_j*x and b_j += eta*y_j on every violated class j.
+    Returns (weights, biases, sorted labels)."""
+    x = np.asarray(x, dtype=np.float64)
+    n, k = x.shape
+    classes = sorted(set(labels))
+    class_idx = {c: i for i, c in enumerate(classes)}
+    y = np.array([class_idx[l] for l in labels], dtype=np.intp)
+    n_cls = len(classes)
+
+    # +1 for the row's own class, -1 for everyone else, per binary problem
+    signs = np.full((n, n_cls), -1.0)
+    signs[np.arange(n), y] = 1.0
+
+    lam = 1.0 / (c_reg * n)
+    w = np.zeros((n_cls, k), dtype=np.float64)
+    b = np.zeros(n_cls, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            xi = x[i]
+            ysign = signs[i]
+            margin = ysign * (w @ xi + b)
+            w *= 1.0 - eta * lam
+            violated = margin < 1.0
+            if violated.any():
+                step = eta * ysign[violated]
+                w[violated] += step[:, np.newaxis] * xi
+                b[violated] += step
+    return w, b, classes

@@ -1,7 +1,16 @@
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bovw import binfile
 from bovw.classifier import (
+    MODEL_MAGIC,
+    MODEL_VERSION,
     LinearModel,
     TrainConfig,
     accuracy,
@@ -10,6 +19,8 @@ from bovw.classifier import (
     save_model,
     train_ovr,
 )
+
+from oracles import train_ovr_reference
 
 
 def one_hot_toy(n_per_class=10, k=6, jitter=0.02, seed=0):
@@ -24,6 +35,36 @@ def one_hot_toy(n_per_class=10, k=6, jitter=0.02, seed=0):
             xs.append(v)
             ys.append(label)
     return np.array(xs), ys
+
+
+def bow_rows(n_cls, per_class, k=1000, dense=False, seed=0):
+    """Bag-of-words-like training rows, grouped by class. Hard/average-like
+    rows are 81-point histograms over k words (<= 81 nonzeros), a third of
+    each image's points on a class-specific run of 20 words; soft rows are
+    dense positive rows summing to 1 with a class-specific bump."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n_cls * per_class, k))
+    labels = []
+    for c in range(n_cls):
+        home = (c * 37 + np.arange(20)) % k
+        for r in range(c * per_class, (c + 1) * per_class):
+            if dense:
+                row = rng.random(k)
+                row[home] += 2.0
+            else:
+                words = np.concatenate([rng.integers(0, k, 54), rng.choice(home, 27)])
+                row = np.bincount(words, minlength=k).astype(np.float64)
+            x[r] = row / row.sum()
+            labels.append(f"class{c:03d}")
+    return x, labels
+
+
+def assert_matches_reference(x, labels, cfg):
+    model = train_ovr(x, labels, cfg)
+    weights, biases, classes = train_ovr_reference(x, labels, cfg.c_reg, cfg.epochs, cfg.seed)
+    assert model.labels == classes
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.biases.tobytes() == biases.tobytes()
 
 
 class TestTrainOvr:
@@ -72,6 +113,85 @@ class TestTrainOvr:
         final /= len(classes)
         initial = 1.0  # hinge of the zero model; no regularization term
         assert final < initial
+
+
+class TestTrainOvrExact:
+    """train_ovr is bit-identical to the textbook vectorized update in
+    tests/oracles.py (the argument is in the train_ovr docstring)."""
+
+    @pytest.mark.parametrize("c_reg", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["hard-avg", "soft"])
+    @pytest.mark.parametrize("n_cls", [2, 3, 8, 15, 101])
+    def test_bit_identical_to_reference(self, n_cls, dense, epochs, c_reg):
+        x, labels = bow_rows(n_cls, 3, dense=dense, seed=n_cls)
+        assert_matches_reference(x, labels, TrainConfig(c_reg=c_reg, epochs=epochs, seed=n_cls))
+
+    @pytest.mark.parametrize("n_cls", [2, 8, 101])
+    def test_one_image_per_class(self, n_cls):
+        x, labels = bow_rows(n_cls, 1, seed=1)
+        assert_matches_reference(x, labels, TrainConfig(epochs=5, seed=2))
+
+    @pytest.mark.parametrize("layout", ["fortran", "column-sliced"])
+    def test_non_contiguous_input(self, layout):
+        x, labels = bow_rows(8, 4, k=2000 if layout == "column-sliced" else 1000, seed=3)
+        x = np.asfortranarray(x) if layout == "fortran" else x[:, ::2]
+        assert not x.flags.c_contiguous
+        assert_matches_reference(x, labels, TrainConfig(epochs=3, seed=4))
+
+    def test_margin_of_exactly_one_is_not_a_violation(self):
+        # With zero features only the biases move, by eta_t = c_reg*n/t = 2/t.
+        # Seed 0 visits the rows in order (a, b) in both epochs: biases go
+        # (2, -2) then (1, -1), so at update 3 row a's margins are exactly 1
+        # for both classes and nothing changes; update 4 (row b) moves both
+        # by 1/2.
+        x, labels, cfg = np.zeros((2, 3)), ["a", "b"], TrainConfig(c_reg=1.0, epochs=2, seed=0)
+        model = train_ovr(x, labels, cfg)
+        assert model.biases.tolist() == [0.5, -0.5]
+        assert_matches_reference(x, labels, cfg)
+
+    def test_input_not_mutated(self):
+        x, labels = bow_rows(8, 4, seed=6)
+        before = x.copy()
+        train_ovr(x, labels, TrainConfig(epochs=3))
+        assert x.tobytes() == before.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_cls=st.integers(2, 12), per_class=st.integers(1, 4), k=st.integers(1, 60),
+           density=st.floats(0.0, 1.0), c_reg=st.floats(1e-3, 1e3), epochs=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), shuffle=st.booleans())
+    def test_bit_identical_property(self, n_cls, per_class, k, density, c_reg, epochs, seed,
+                                    shuffle):
+        rng = np.random.default_rng(seed)
+        n = n_cls * per_class
+        x = rng.random((n, k)) * (rng.random((n, k)) < density)
+        labels = [f"c{i % n_cls}" for i in range(n)]
+        if shuffle:
+            labels = [labels[i] for i in rng.permutation(n)]
+        assert_matches_reference(x, labels, TrainConfig(c_reg=c_reg, epochs=epochs, seed=seed))
+
+    def test_model_bytes_pinned(self):
+        # sha256 of weights then biases, recorded with the textbook loop
+        # (numpy 2.4, OpenBLAS 0.3.31); gemv's summation order is the BLAS's
+        x, labels = bow_rows(8, 17, seed=5)
+        model = train_ovr(x, labels, TrainConfig(epochs=50, seed=17))
+        digest = hashlib.sha256(model.weights.tobytes() + model.biases.tobytes()).hexdigest()
+        assert digest == "2009340d7e2ace50b6bf1e452c5f2c45d4f7e20dd247d918549365c2bae5d78e"
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("c_reg", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_c_reg_must_be_positive_and_finite(self, c_reg):
+        with pytest.raises(ValueError, match="c_reg must be positive and finite"):
+            TrainConfig(c_reg=c_reg)
+
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, "3"])
+    def test_epochs_must_be_an_integer(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainConfig(epochs=epochs)
+
+    def test_numpy_integer_epochs_accepted(self):
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
 
 
 class TestPredict:
@@ -157,3 +277,26 @@ class TestModelIO:
         path.write_bytes(b"nope")
         with pytest.raises(ValueError, match="not a linear model"):
             load_model(path)
+
+    @pytest.mark.parametrize("labels", [["b", "a"], ["a", "a"]], ids=["unsorted", "repeated"])
+    def test_load_rejects_labels_not_strictly_ascending(self, tmp_path, labels):
+        path = tmp_path / "m.bin"
+        binfile.write(path, MODEL_MAGIC, MODEL_VERSION, struct.pack("<2I", 2, 3),
+                      *map(binfile.pack_str, labels), np.zeros(8, dtype="<f8"))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            load_model(path)
+
+
+class TestLinearModel:
+    def test_one_dimensional_weights_rejected(self):
+        with pytest.raises(ValueError, match=r"weights must be \(C, k\)"):
+            LinearModel(np.zeros(3), np.zeros(3), ["a", "b", "c"])
+
+    def test_weights_row_count_must_match_labels(self):
+        with pytest.raises(ValueError, match=r"weights must be \(C, k\)"):
+            LinearModel(np.zeros((3, 4)), np.zeros(2), ["a", "b"])
+
+    @pytest.mark.parametrize("labels", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
+    def test_labels_must_be_strictly_ascending(self, labels):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            LinearModel(np.zeros((len(labels), 2)), np.zeros(len(labels)), labels)

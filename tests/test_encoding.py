@@ -54,8 +54,11 @@ class TestSoftAssign:
         assert row[0] > row[1] > row[2]
 
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            soft_assign(np.array([1.0]), 0.0)
+        for sigma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                soft_assign(np.array([1.0]), sigma)
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                EncodingParams(sigma=sigma)
 
     @settings(max_examples=200)
     @given(profile=profiles, sigma=st.floats(min_value=0.5, max_value=200.0))

@@ -119,6 +119,11 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="alpha"):
             PipelineParams(alpha=0.07)
 
+    @pytest.mark.parametrize("c_reg", [float("nan"), float("inf")])
+    def test_pipeline_params_reject_non_finite_c_reg(self, c_reg):
+        with pytest.raises(ValueError, match="c_reg must be positive and finite"):
+            PipelineParams(c_reg=c_reg)
+
     def test_large_n_uses_normal_limit(self):
         vals = [0.0, 1.0] * 20  # n = 40, beyond the table
         mean, low, high = confidence_interval(vals, alpha=0.05)
@@ -458,6 +463,8 @@ class TestCli:
         (["crossbase", "--ntrain", "3", "--epochs", "0"], "epochs must be >= 1"),
         (["crossbase", "--ntrain", "3", "--c-reg", "0"], "c_reg must be positive"),
         (["sweep", "--ntrain", "3", "--class-counts", "0,2"], "class_counts must be"),
+        (["crossbase", "--ntrain", "3", "--c-reg", "nan"], "c_reg must be positive and finite"),
+        (["crossbase", "--ntrain", "3", "--sigma", "nan"], "sigma must be positive and finite"),
     ])
     def test_bad_input_fails_before_any_extraction(self, tmp_path, micro_corpus, argv, message):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
@@ -465,6 +472,7 @@ class TestCli:
         out = run_cli(*argv, "--source", manifest, "--target", manifest, "--k", "12",
                       "--runs", "2", "--cache-dir", str(cache), "--out", str(tmp_path / "res.csv"))
         assert out.returncode != 0
+        assert out.stderr.startswith(f"bovw {argv[0]}: error: ") and out.stderr.count("\n") == 1
         assert message in out.stderr
         assert list(cache.glob("*")) == []
         assert not (tmp_path / "res.csv").exists()
