@@ -23,15 +23,19 @@ def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2-normalize", action="store_true", help="L2-normalize pooled vectors")
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     _add_encoding_flags(p)
     p.add_argument("--k", type=int, default=1000, help="dictionary size")
     p.add_argument("--runs", type=int, default=5, help="repetitions per configuration")
-    p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent trials; no measured speed-up, and threads evict each "
-                        "other's target encoding from the one-slot memo")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--alpha", type=float, default=0.05, help="confidence level")
     p.add_argument("--c-reg", type=float, default=1.0, help="SVM regularization C")
     p.add_argument("--epochs", type=int, default=50, help="SVM training epochs")
@@ -60,7 +64,6 @@ def _pipeline(args) -> harness.PipelineParams:
         c_reg=args.c_reg,
         epochs=args.epochs,
         alpha=args.alpha,
-        workers=args.workers,
     )
 
 
@@ -147,6 +150,7 @@ def _experiment(args, n_train_per_class: int, experiment, **options) -> int:
     params = _pipeline(args)
     spec = harness.SplitSpec(n_train_per_class=n_train_per_class,
                              run_seeds=tuple(args.seed + i for i in range(args.runs)))
+    harness.check_summary_csv(args.out)  # a bad --out fails before any extraction
     store = harness.DescriptorStore(params.grid, cache_dir=args.cache_dir)
     rows = experiment(load_manifest(args.source), target=load_manifest(args.target), spec=spec,
                       params=params, store=store, **options)
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codebook", help="sample a random visual dictionary")
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--classes", type=int, default=None,
                    help="restrict the pool to a seeded subset of this many classes")
     p.add_argument("--cache-dir", default=None)
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--c-reg", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report accuracy of a model on encoded vectors")
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", choices=sorted(synth.CORPUS_PRESETS), default="textures8")
     p.add_argument("--images-per-class", type=int, default=60)
     p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -267,8 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ValueError as err:
-        # a value the library rejects is bad input, reported like argparse's
+    except (ValueError, OSError) as err:
+        # bad input or an unreadable file, reported like argparse's bad flags
         print(f"bovw {args.command}: error: {err}", file=sys.stderr)
         return 2
 

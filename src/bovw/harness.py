@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
@@ -78,6 +77,8 @@ class SplitSpec:
             raise ValueError("n_train_per_class must be >= 1")
         if len(self.run_seeds) < 1:
             raise ValueError("need at least one run seed")
+        if min(self.run_seeds) < 0:
+            raise ValueError("run seeds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,13 @@ class PipelineParams:
     c_reg: float = 1.0
     epochs: int = 50
     alpha: float = 0.05
-    workers: int = 1
+    workers: int = 1  # bench/worker.py still passes it; it goes with ROADMAP item 1
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError("workers must be 1: trials run one at a time")
         if self.alpha not in _T_TABLE:
             raise ValueError(f"alpha must be one of {sorted(_T_TABLE)}")
         TrainConfig(self.c_reg, self.epochs)  # its checks, before any extraction
@@ -138,14 +139,12 @@ class DescriptorStore:
 
     Optionally persists per-image cache files so repeated CLI runs skip
     extraction; a cache file that fails to load is re-extracted and
-    rewritten. Warm the store before handing it to concurrent trials.
+    rewritten.
 
     The store also keeps one encoding slot: the latest manifest encoded by
     ``encode``, as its (n, k) matrix of per-image k-vectors, keyed by the
     manifest, the codebook id and the encoding params. Trials that share a dictionary
     (every training size of one run seed) thus encode the target once.
-    Concurrent trials may each encode on a miss; the slot is replaced
-    whole, never mutated, so every caller reads a complete encoding.
     """
 
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
@@ -283,24 +282,18 @@ def _curve(
     store: DescriptorStore,
 ) -> list[SummaryRow]:
     """One row per n_train. Each run seed builds its own dictionary over
-    ``source`` and classifies ``target`` with it at every n_train; run
-    serially, the store then encodes the target once per dictionary."""
+    ``source`` and classifies ``target`` with it at every n_train, so the
+    store encodes the target once per dictionary."""
     pool = store.pool(source)
-
-    def seed_accuracies(seed: int) -> list[float]:
+    per_seed = []
+    # ascending seeds fix the summation order of mean and std, hence the CSV bytes
+    for seed in sorted(spec.run_seeds):
         cb = build_random_codebook(pool, params.k, seed + DICT_SEED_OFFSET,
                                    source_name=source.name, source_classes=source.class_labels)
         logger.info("dictionary %s from %s (%s classes)",
                     cb.codebook_id, source.name, dict_classes)
-        return [run_trial(cb, target, n, seed, params, store).accuracy for n in n_train_values]
-
-    # ascending seeds fix the summation order of mean and std, hence the CSV bytes
-    seeds = sorted(spec.run_seeds)
-    if params.workers > 1:
-        with ThreadPoolExecutor(max_workers=params.workers) as ex:
-            per_seed = list(ex.map(seed_accuracies, seeds))
-    else:  # no executor: on Ctrl-C it would wait for every queued dictionary
-        per_seed = [seed_accuracies(seed) for seed in seeds]
+        per_seed.append([run_trial(cb, target, n, seed, params, store).accuracy
+                         for n in n_train_values])
 
     rows = []
     for n_train, accs in zip(n_train_values, zip(*per_seed)):
@@ -333,7 +326,7 @@ def cross_base_experiment(
     n_train): native first, then cross.
     """
     store = store if store is not None else DescriptorStore(params.grid)
-    # warm extraction up front so trials only read
+    # extract up front: an unreadable image fails before any trial runs
     store.pool(dict_source)
     store.pool(target)
     sources = [target, dict_source] if include_native else [dict_source]
@@ -368,6 +361,7 @@ def diversity_sweep(
             f"{len(source.class_labels)} classes in {source.name}"
         )
     store = store if store is not None else DescriptorStore(params.grid)
+    # extract up front: an unreadable image fails before any trial runs
     store.pool(source)
     store.pool(target)
 
@@ -379,18 +373,28 @@ def diversity_sweep(
     return rows
 
 
+def check_summary_csv(path: str | Path) -> bool:
+    """Whether a results CSV still needs its header (it does not exist or
+    is empty). Raises ValueError if its directory does not exist or a
+    non-empty file does not start with the header."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ValueError(f"{path}: directory {path.parent} does not exist")
+    if not path.exists() or path.stat().st_size == 0:
+        return True
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    if header != CSV_COLUMNS:
+        raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
+    return False
+
+
 def write_summary_csv(rows: Iterable[SummaryRow], path: str | Path) -> None:
     """Append rows to a results CSV, writing the header only when the file
     does not yet exist (or is empty). Every row carries its configuration.
-    Raises ValueError if a non-empty file does not start with the header."""
-    path = Path(path)
-    fresh = not path.exists() or path.stat().st_size == 0
-    if not fresh:
-        with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-        if header != CSV_COLUMNS:
-            raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
-    with path.open("a", newline="", encoding="utf-8") as fh:
+    Raises ValueError as ``check_summary_csv`` does."""
+    fresh = check_summary_csv(path)
+    with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(CSV_COLUMNS)

@@ -56,8 +56,8 @@ def warm_store(corpora, tmp_path_factory):
     return store
 
 
-def desk_params(k: int = K_DESK, workers: int = 1) -> PipelineParams:
-    return PipelineParams(grid=GridParams(), encoding=EncodingParams(), k=k, workers=workers)
+def desk_params(k: int = K_DESK) -> PipelineParams:
+    return PipelineParams(grid=GridParams(), encoding=EncodingParams(), k=k)
 
 
 def test_criterion_1_soft_assignment_correctness():

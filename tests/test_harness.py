@@ -1,6 +1,5 @@
 import re
 import shlex
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,22 +223,13 @@ class TestExperiments:
                               store=DescriptorStore(micro_params.grid), include_native=False)
         assert len(calls) == 2 * len(micro_corpus)
 
-    def test_workers_do_not_change_results(self, micro_corpus, micro_store, micro_params):
-        # two training sizes, so concurrent trials share the store's encoding slot
-        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1, 2))
-        serial = cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
-                                       store=micro_store, include_native=False)
-        threaded_params = PipelineParams(grid=micro_params.grid, encoding=micro_params.encoding,
-                                         k=micro_params.k, epochs=micro_params.epochs, workers=4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec,
-                                             threaded_params, store=micro_store,
-                                             include_native=False)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial == threaded
+    def test_trials_run_one_at_a_time(self):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            PipelineParams(workers=2)
+
+    def test_negative_run_seed_rejected(self):
+        with pytest.raises(ValueError, match="run seeds must be >= 0"):
+            SplitSpec(n_train_per_class=2, run_seeds=(0, -1))
 
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
                                                             micro_params):
@@ -383,6 +373,17 @@ class TestSynth:
         assert img.width == 48
 
 
+SEED_ERROR = "argument --seed: expected a non-negative integer"
+
+
+@pytest.fixture
+def micro_bows(tmp_path, micro_corpus) -> Path:
+    """A bow batch file with one row per micro-corpus entry."""
+    path = tmp_path / "bows.bin"
+    save_bows([BowVector(np.ones(3), e.path, "cb") for e in micro_corpus.entries], path)
+    return path
+
+
 class TestCli:
     def test_pipeline_commands(self, tmp_path, micro_corpus):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
@@ -413,7 +414,7 @@ class TestCli:
         )
         assert (args.stride, args.patch, args.k) == (6, 16, 1000)
         assert (args.sigma, args.assignment, args.pooling) == (60.0, "soft", "max")
-        assert (args.runs, args.alpha, args.workers) == (5, 0.05, 1)
+        assert (args.runs, args.alpha) == (5, 0.05)
         sweep = build_parser().parse_args(
             ["sweep", "--source", "s", "--target", "t", "--out", "o"]
         )
@@ -476,6 +477,63 @@ class TestCli:
         assert message in out.stderr
         assert list(cache.glob("*")) == []
         assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
+                     "--seed -3", SEED_ERROR, id="codebook-seed"),
+        pytest.param("train --bows {t}/bows.bin --manifest {m} --out {t}/model.bin --seed -3",
+                     SEED_ERROR, id="train-seed"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs 2 "
+                     "--cache-dir {t}/cache --out {t}/res.csv --seed -20000",
+                     SEED_ERROR, id="crossbase-seed"),
+        pytest.param("sweep --source {m} --target {m} --class-counts 1,3 --ntrain 3 --k 12 "
+                     "--runs 2 --cache-dir {t}/cache --out {t}/res.csv --seed -20000",
+                     SEED_ERROR, id="sweep-seed"),
+        pytest.param("synth --out-dir {t}/corpus --corpus textures3 --images-per-class 2 "
+                     "--size 32 --seed -1", SEED_ERROR, id="synth-seed"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs 2 "
+                     "--cache-dir {t}/cache --out {t}/res.csv --workers 2",
+                     "unrecognized arguments: --workers 2", id="crossbase-workers"),
+    ])
+    def test_usage_error_writes_nothing(self, tmp_path, micro_corpus, micro_bows, argv, message):
+        manifest = micro_corpus.base_dir / "micro.manifest"
+        out = run_cli(*[a.format(m=manifest, t=tmp_path) for a in argv.split()])
+        assert out.returncode == 2
+        assert out.stderr.startswith("usage: bovw") and message in out.stderr
+        assert list(tmp_path.iterdir()) == [micro_bows]  # no cache file, CSV or image
+
+    @pytest.mark.parametrize("command", ["crossbase --ntrain 3",
+                                         "sweep --class-counts 1,3 --ntrain 3"],
+                             ids=["crossbase", "sweep"])
+    @pytest.mark.parametrize("out_name, message", [("foreign.csv", "header ['a', 'b', 'c']"),
+                                                   ("missing/res.csv", "does not exist")],
+                             ids=["foreign-csv", "missing-dir"])
+    def test_bad_out_fails_before_any_extraction(self, tmp_path, micro_corpus, command,
+                                                 out_name, message):
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        foreign = tmp_path / "foreign.csv"
+        foreign.write_text("a,b,c\n1,2,3\n")
+        cache = tmp_path / "cache"
+        out = run_cli(*command.split(), "--source", manifest, "--target", manifest, "--k", "12",
+                      "--runs", "2", "--cache-dir", str(cache), "--out", str(tmp_path / out_name))
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"bovw {command.split()[0]}: error: ")
+        assert out.stderr.count("\n") == 1 and message in out.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.csv"]
+        assert foreign.read_text() == "a,b,c\n1,2,3\n"
+
+    @pytest.mark.parametrize("argv", [
+        "crossbase --source {t}/nope.manifest --target {m} --ntrain 3 --out {t}/res.csv",
+        "encode --manifest {m} --codebook {t}/nope.bin --out {t}/out.bin",
+        "train --bows {t}/nope.bin --manifest {m} --out {t}/out.bin",
+        "eval --bows {t}/bows.bin --manifest {m} --model {t}/nope.bin",
+    ], ids=["manifest", "codebook", "bows", "model"])
+    def test_missing_input_file_is_one_line(self, tmp_path, micro_corpus, micro_bows, argv):
+        manifest = micro_corpus.base_dir / "micro.manifest"
+        out = run_cli(*[a.format(m=manifest, t=tmp_path) for a in argv.split()])
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"bovw {argv.split()[0]}: error: ")
+        assert out.stderr.count("\n") == 1 and str(tmp_path / "nope.") in out.stderr
 
     def test_library_error_is_one_line(self, tmp_path, micro_corpus):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
