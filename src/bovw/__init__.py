@@ -35,7 +35,6 @@ from .encoding import (
     BowVector,
     EncodingParams,
     encode_image,
-    hard_assign,
     load_bows,
     save_bows,
     soft_assign,

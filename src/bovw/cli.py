@@ -23,17 +23,22 @@ def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2-normalize", action="store_true", help="L2-normalize pooled vectors")
 
 
-def _seed(text: str) -> int:
+def _seed(text: str, low: int = 0) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    if value < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    return _seed(text, low=1)
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     _add_encoding_flags(p)
-    p.add_argument("--k", type=int, default=1000, help="dictionary size")
+    p.add_argument("--k", type=_positive, default=1000, help="dictionary size")
     p.add_argument("--runs", type=int, default=5, help="repetitions per configuration")
     p.add_argument("--seed", type=_seed, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--alpha", type=float, default=0.05, help="confidence level")
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codebook", help="sample a random visual dictionary")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=int, default=1000)
+    p.add_argument("--k", type=_positive, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--classes", type=int, default=None,
                    help="restrict the pool to a seeded subset of this many classes")

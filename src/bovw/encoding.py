@@ -101,20 +101,6 @@ def _soft_rows(d2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def hard_assign(d2: np.ndarray) -> np.ndarray:
-    """One-hot rows at the minimum squared distance along the last axis;
-    ties break to the lowest index."""
-    d2 = np.asarray(d2, dtype=np.float64)
-    rows = np.zeros_like(d2)
-    np.put_along_axis(rows, _nearest(d2)[..., np.newaxis], 1.0, axis=-1)
-    return rows
-
-
-def _nearest(d2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Index of the smallest entry along the last axis, the lowest on a tie."""
-    return np.argmin(d2, axis=-1, out=out)
-
-
 def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> BowVector:
     """Assign every grid point to the codebook and pool into one k-vector.
 
@@ -123,7 +109,8 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> Bow
     ``w^2 - 2 p.w`` (the squared distance less the per-point constant p^2)
     is one float32 GEMM, exact as explained in the module docstring. Soft
     rows are pooled per chunk; hard assignment keeps only each point's
-    nearest word and pools the word counts at the end.
+    nearest word (the lowest index on a tie) and pools the word counts at
+    the end.
     """
     if ds.descriptors.shape[1] != cb.words.shape[1]:
         raise ValueError("descriptor dims do not match codebook dims")
@@ -148,7 +135,7 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> Bow
         d = np.matmul(pts[:b], neg2w.T, out=part[:b])
         d += w_sq
         if not soft:
-            _nearest(d, out=nearest[start : start + b])
+            np.argmin(d, axis=-1, out=nearest[start : start + b])
             continue
         r = _soft_rows(d, params.sigma, out=rows[:b])
         if params.pooling == "max":

@@ -140,11 +140,6 @@ class DescriptorStore:
     Optionally persists per-image cache files so repeated CLI runs skip
     extraction; a cache file that fails to load is re-extracted and
     rewritten.
-
-    The store also keeps one encoding slot: the latest manifest encoded by
-    ``encode``, as its (n, k) matrix of per-image k-vectors, keyed by the
-    manifest, the codebook id and the encoding params. Trials that share a dictionary
-    (every training size of one run seed) thus encode the target once.
     """
 
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
@@ -153,7 +148,6 @@ class DescriptorStore:
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._memory: dict[Path, DescriptorSet] = {}
-        self._encoding: tuple[tuple, np.ndarray] | None = None
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
         path = manifest.resolve(entry)
@@ -180,20 +174,6 @@ class DescriptorStore:
     def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
         """Descriptor sets for every entry, in manifest order."""
         return [self.get(manifest, e) for e in manifest.entries]
-
-    def encode(
-        self, manifest: DatasetManifest, cb: Codebook, params: EncodingParams
-    ) -> np.ndarray:
-        """Pooled k-vectors of every entry as rows of an (n, k) matrix, in
-        manifest order, through the one-slot encoding memo."""
-        key = (manifest, manifest.base_dir, cb.codebook_id, params)
-        slot = self._encoding
-        if slot is None or slot[0] != key:
-            bows = np.empty((len(manifest), cb.k), dtype=np.float64)
-            for row, e in zip(bows, manifest.entries):
-                row[:] = encode_image(self.get(manifest, e), cb, params).h
-            slot = self._encoding = (key, bows)
-        return slot[1]
 
 
 def split_balanced(
@@ -227,11 +207,11 @@ def run_trial(
     n_train: int,
     run_seed: int,
     params: PipelineParams,
-    store: DescriptorStore,
+    bows: np.ndarray,
 ) -> TrialResult:
-    """Encode the target with the given dictionary (native or foreign),
-    train on a balanced split and return test accuracy."""
-    bows = store.encode(target, dictionary, params.encoding)
+    """Train on a balanced split of the target and return test accuracy.
+    ``bows`` holds the target encoded with ``dictionary`` (native or
+    foreign), one k-vector row per entry in manifest order."""
     labels = [e.label for e in target.entries]
     train_idx, test_idx = split_balanced(target, n_train, run_seed + SPLIT_SEED_OFFSET)
     cfg = TrainConfig(c_reg=params.c_reg, epochs=params.epochs, seed=run_seed + TRAIN_SEED_OFFSET)
@@ -282,9 +262,9 @@ def _curve(
     store: DescriptorStore,
 ) -> list[SummaryRow]:
     """One row per n_train. Each run seed builds its own dictionary over
-    ``source`` and classifies ``target`` with it at every n_train, so the
-    store encodes the target once per dictionary."""
-    pool = store.pool(source)
+    ``source``, encodes ``target`` with it once and classifies that
+    encoding at every n_train."""
+    pool, targets = store.pool(source), store.pool(target)
     per_seed = []
     # ascending seeds fix the summation order of mean and std, hence the CSV bytes
     for seed in sorted(spec.run_seeds):
@@ -292,7 +272,10 @@ def _curve(
                                    source_name=source.name, source_classes=source.class_labels)
         logger.info("dictionary %s from %s (%s classes)",
                     cb.codebook_id, source.name, dict_classes)
-        per_seed.append([run_trial(cb, target, n, seed, params, store).accuracy
+        bows = np.empty((len(target), cb.k), dtype=np.float64)
+        for row, ds in zip(bows, targets):
+            row[:] = encode_image(ds, cb, params.encoding).h
+        per_seed.append([run_trial(cb, target, n, seed, params, bows).accuracy
                          for n in n_train_values])
 
     rows = []
@@ -325,6 +308,7 @@ def cross_base_experiment(
     ("cross"), on balanced splits. Rows are ordered by (configuration,
     n_train): native first, then cross.
     """
+    split_balanced(target, max(n_train_values), 0)  # a too-large n_train fails before extraction
     store = store if store is not None else DescriptorStore(params.grid)
     # extract up front: an unreadable image fails before any trial runs
     store.pool(dict_source)
@@ -360,6 +344,7 @@ def diversity_sweep(
             f"class_counts max {class_counts[-1]} exceeds "
             f"{len(source.class_labels)} classes in {source.name}"
         )
+    split_balanced(target, n_train, 0)  # a too-large n_train fails before extraction
     store = store if store is not None else DescriptorStore(params.grid)
     # extract up front: an unreadable image fails before any trial runs
     store.pool(source)

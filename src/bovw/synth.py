@@ -113,6 +113,8 @@ def generate_corpus(
     """Write a full synthetic corpus (PGM files + manifest); returns the
     manifest path. Each image is seeded by (seed, class index, image index)
     so regeneration is byte-identical."""
+    if images_per_class < 1 or size < 1:
+        raise ValueError("images_per_class and size must be >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -9,7 +9,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import bovw
+from bovw.codebook import Codebook
 from bovw.corpus import DatasetManifest, Image, load_manifest
+from bovw.encoding import EncodingParams, encode_image
 from bovw.features import DescriptorSet, extract_dense_sift
 from bovw.harness import DescriptorStore, GridParams
 from bovw.synth import TextureSpec, generate_corpus
@@ -31,6 +33,13 @@ def random_descriptor_set(n: int, seed: int, source: str = "") -> DescriptorSet:
         descriptors=rng.integers(0, 256, (n, 128)).astype(np.uint8),
         source_image=source or f"synthetic-{seed}",
     )
+
+
+def encode_target(store: DescriptorStore, manifest: DatasetManifest, cb: Codebook,
+                  params: EncodingParams) -> np.ndarray:
+    """Every entry of ``manifest`` encoded with ``cb``, one row each, in
+    manifest order: the matrix ``run_trial`` classifies."""
+    return np.array([encode_image(ds, cb, params).h for ds in store.pool(manifest)])
 
 
 def describe_patch(pixels: np.ndarray, params: GridParams = GridParams()) -> np.ndarray:

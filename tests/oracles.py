@@ -3,9 +3,10 @@
 Everything here is deliberately written as plain scalar loops (stdlib math
 only, no numpy broadcasting) so it cannot share a code path, or a bug, with
 the library. These oracles define the reference semantics the vectorized
-implementations are checked against. The one exception is
-``train_ovr_reference``: the SVM training loop's textbook vectorized form,
-kept so the library's loop can be checked against it bit for bit.
+implementations are checked against. The exceptions are ``hard_assign``,
+one-hot rows over a whole distance matrix, and ``train_ovr_reference``: the
+SVM training loop's textbook vectorized form, kept so the library's loop can
+be checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -117,6 +118,15 @@ def bow_reference(points, words, sigma: float, assignment: str, pooling: str) ->
     if pooling == "max":
         return [max(rows[i][j] for i in range(n)) for j in range(k)]
     return [sum(rows[i][j] for i in range(n)) / n for j in range(k)]
+
+
+def hard_assign(d2) -> np.ndarray:
+    """One-hot rows at the minimum squared distance along the last axis;
+    ties break to the lowest index."""
+    d2 = np.asarray(d2, dtype=np.float64)
+    rows = np.zeros_like(d2)
+    np.put_along_axis(rows, np.argmin(d2, axis=-1)[..., np.newaxis], 1.0, axis=-1)
+    return rows
 
 
 def train_ovr_reference(x, labels, c_reg: float = 1.0, epochs: int = 50, seed: int = 0):

@@ -156,7 +156,7 @@ def test_criterion_4_degenerate_dictionary(corpora, warm_store):
     bows = [encode_image(warm_store.get(b, e), cb, params.encoding).h for e in b.entries]
     assert all(np.array_equal(v, bows[0]) for v in bows)
 
-    result = run_trial(cb, b, N_TRAIN, 0, params, warm_store)
+    result = run_trial(cb, b, N_TRAIN, 0, params, np.array(bows))
     _, test = split_balanced(b, N_TRAIN, seed=0 + SPLIT_SEED_OFFSET)
     test_labels = [b.entries[i].label for i in test]
     majority = max(test_labels.count(c) for c in set(test_labels))

@@ -12,7 +12,6 @@ from bovw.encoding import (
     EncodingParams,
     encode_image,
     export_bows_csv,
-    hard_assign,
     load_bows,
     save_bows,
     soft_assign,
@@ -20,7 +19,7 @@ from bovw.encoding import (
 from bovw.features import DESCRIPTOR_DIMS, DescriptorSet
 
 from conftest import random_descriptor_set
-from oracles import bow_reference, soft_row
+from oracles import bow_reference, hard_assign, soft_row
 
 profiles = st.lists(
     st.floats(min_value=0.0, max_value=3000.0, allow_nan=False), min_size=1, max_size=64

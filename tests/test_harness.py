@@ -28,7 +28,7 @@ from bovw.harness import (
 )
 from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_texture
 
-from conftest import run_cli
+from conftest import encode_target, run_cli
 
 
 def toy_manifest(sizes: dict[str, int]) -> DatasetManifest:
@@ -140,15 +140,11 @@ class TestRunTrial:
         train, _ = split_balanced(micro_corpus, 4, seed=100)
         pool = [micro_store.get(micro_corpus, micro_corpus.entries[i]) for i in train]
         cb = build_random_codebook(pool, micro_params.k, seed=0, source_name="micro")
-        result = run_trial(cb, micro_corpus, 4, 0, micro_params, micro_store)
+        bows = encode_target(micro_store, micro_corpus, cb, micro_params.encoding)
+        result = run_trial(cb, micro_corpus, 4, 0, micro_params, bows)
         assert result.accuracy > 0.5
         # brute-force sanity: classes separate in bow space by nearest centroid
-        bows, labels = [], []
-        for e in micro_corpus.entries:
-            bows.append(encode_image(micro_store.get(micro_corpus, e), cb,
-                                     micro_params.encoding).h)
-            labels.append(e.label)
-        bows = np.array(bows)
+        labels = [e.label for e in micro_corpus.entries]
         classes = sorted(set(labels))
         centroids = {c: bows[[l == c for l in labels]].mean(axis=0) for c in classes}
         hits = 0
@@ -165,7 +161,7 @@ class TestRunTrial:
         bows = [encode_image(micro_store.get(micro_corpus, e), cb, params.encoding).h
                 for e in micro_corpus.entries]
         assert all(np.array_equal(b, bows[0]) for b in bows)
-        result = run_trial(cb, micro_corpus, 4, 0, params, micro_store)
+        result = run_trial(cb, micro_corpus, 4, 0, params, np.array(bows))
         _, test = split_balanced(micro_corpus, 4, seed=0 + SPLIT_SEED_OFFSET)
         test_labels = labels_at(micro_corpus, test)
         counts = [test_labels.count(c) for c in set(test_labels)]
@@ -174,8 +170,9 @@ class TestRunTrial:
     def test_deterministic(self, micro_corpus, micro_store, micro_params):
         cb = build_random_codebook(micro_store.pool(micro_corpus), micro_params.k, seed=2,
                                    source_name="micro")
-        a = run_trial(cb, micro_corpus, 4, 3, micro_params, micro_store)
-        b = run_trial(cb, micro_corpus, 4, 3, micro_params, micro_store)
+        bows = encode_target(micro_store, micro_corpus, cb, micro_params.encoding)
+        a = run_trial(cb, micro_corpus, 4, 3, micro_params, bows)
+        b = run_trial(cb, micro_corpus, 4, 3, micro_params, bows)
         assert a == b
 
 
@@ -207,8 +204,9 @@ class TestExperiments:
                                      store=micro_store, include_native=False)
         assert rows[0].n_runs == 5
 
-    def test_target_encoded_once_per_dictionary(self, micro_corpus, micro_params,
-                                                monkeypatch):
+    @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
+    def test_target_encoded_once_per_dictionary(self, micro_corpus, micro_store, micro_params,
+                                                monkeypatch, experiment):
         # every n_train of a run seed shares that seed's dictionary
         calls = []
         real = bovw.harness.encode_image
@@ -219,9 +217,15 @@ class TestExperiments:
 
         monkeypatch.setattr(bovw.harness, "encode_image", counted)
         spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
-        cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
-                              store=DescriptorStore(micro_params.grid), include_native=False)
-        assert len(calls) == 2 * len(micro_corpus)
+        if experiment == "crossbase":
+            cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
+                                  store=micro_store, include_native=False)
+            dictionaries = 2
+        else:
+            diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, micro_params,
+                            store=micro_store)
+            dictionaries = 4
+        assert len(calls) == dictionaries * len(micro_corpus)
 
     def test_trials_run_one_at_a_time(self):
         with pytest.raises(ValueError, match="workers must be 1"):
@@ -354,6 +358,13 @@ class TestSynth:
         b = load_image(load_manifest(m2).resolve(load_manifest(m2).entries[0]))
         assert np.array_equal(a.pixels, b.pixels)
 
+    @pytest.mark.parametrize("images_per_class, size", [(0, 32), (-1, 32), (2, 0)])
+    def test_bad_counts_create_nothing(self, tmp_path, images_per_class, size):
+        with pytest.raises(ValueError, match="images_per_class and size must be >= 1"):
+            generate_corpus(tmp_path, CORPUS_PRESETS["textures3"](), images_per_class,
+                            size=size, name="s")
+        assert list(tmp_path.iterdir()) == []
+
     def test_presets_have_expected_classes(self):
         assert len(CORPUS_PRESETS["textures8"]()) == 8
         assert len(CORPUS_PRESETS["textures3"]()) == 3
@@ -466,6 +477,8 @@ class TestCli:
         (["sweep", "--ntrain", "3", "--class-counts", "0,2"], "class_counts must be"),
         (["crossbase", "--ntrain", "3", "--c-reg", "nan"], "c_reg must be positive and finite"),
         (["crossbase", "--ntrain", "3", "--sigma", "nan"], "sigma must be positive and finite"),
+        (["crossbase", "--ntrain", "3,8"], "need more than n_train=8"),
+        (["sweep", "--ntrain", "8", "--class-counts", "1,3"], "need more than n_train=8"),
     ])
     def test_bad_input_fails_before_any_extraction(self, tmp_path, micro_corpus, argv, message):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
@@ -481,6 +494,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
                      "--seed -3", SEED_ERROR, id="codebook-seed"),
+        pytest.param("codebook --manifest {m} --k 0 --cache-dir {t}/cache --out {t}/cb.bin",
+                     "argument --k: expected a positive integer", id="codebook-k"),
         pytest.param("train --bows {t}/bows.bin --manifest {m} --out {t}/model.bin --seed -3",
                      SEED_ERROR, id="train-seed"),
         pytest.param("crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs 2 "
