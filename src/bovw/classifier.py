@@ -106,6 +106,9 @@ def train_ovr(
     own_class = [class_idx[l] for l in labels]
 
     lam = 1.0 / (cfg.c_reg * n)
+    if not 0 < lam < math.inf:  # c_reg * n overflowed, or is subnormal
+        raise ValueError(f"lambda = 1/(c_reg*n) must be positive and finite, got {lam!r} "
+                         f"for c_reg={cfg.c_reg!r} and n={n}")
     w = np.zeros((len(classes), k), dtype=np.float64)
     w_rows = list(w)  # row views, updated in place
     b = [0.0] * len(classes)

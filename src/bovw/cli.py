@@ -6,6 +6,8 @@ import argparse
 import logging
 import sys
 
+import numpy as np
+
 from . import classifier, codebook, encoding, harness, synth
 from .corpus import load_manifest
 from .features import GridParams
@@ -24,11 +26,13 @@ def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _seed(text: str, low: int = 0) -> int:
-    value = int(text)
-    if value < low:
-        kind = "positive" if low == 1 else "non-negative"
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
-    return value
+    try:
+        if (value := int(text)) >= low:
+            return value
+    except ValueError:
+        pass
+    kind = "positive" if low == 1 else "non-negative"
+    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
 
 
 def _positive(text: str) -> int:
@@ -73,10 +77,12 @@ def _pipeline(args) -> harness.PipelineParams:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(v) for v in text.split(",") if v]
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
-    return values
+    try:
+        if values := [int(v) for v in text.split(",") if v]:
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def cmd_extract(args) -> int:
@@ -113,11 +119,11 @@ def cmd_encode(args) -> int:
     manifest = load_manifest(args.manifest)
     cb = codebook.load_codebook(args.codebook)
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
-    params = _encoding_params(args)
-    bows = [encoding.encode_image(store.get(manifest, e), cb, params) for e in manifest.entries]
-    encoding.save_bows(bows, args.out)
+    bows = harness.encode_rows(np.empty((len(manifest), cb.k)), store.pool(manifest), cb,
+                               _encoding_params(args))
+    encoding.save_bows(bows, cb.codebook_id, args.out)
     if args.csv:
-        encoding.export_bows_csv(bows, args.csv)
+        encoding.export_bows_csv(bows, [e.path for e in manifest.entries], args.csv)
     print(f"encoded {len(bows)} images with {cb.codebook_id} -> {args.out}")
     return 0
 

@@ -54,8 +54,7 @@ class EncodingParams:
     l2_normalize: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
+        _check_sigma(self.sigma)
         if self.assignment not in ASSIGNMENTS:
             raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
         if self.pooling not in POOLINGS:
@@ -67,11 +66,16 @@ class BowVector:
     """Pooled k-dimensional representation of one image."""
 
     h: np.ndarray  # (k,) float64
-    image: str
-    codebook_id: str
 
-    def __len__(self) -> int:
-        return len(self.h)
+
+def _check_sigma(sigma: float) -> None:
+    """Reject a sigma whose kernel factor 1/(2 sigma^2) is inf or 0: below
+    about 1e-154 it divides by zero or gives NaN weights (2 sigma^2 is 0 or
+    subnormal), and above about 1e154, 2 sigma^2 overflows."""
+    if not (math.isfinite(sigma) and sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf
+            and 1.0 / (2.0 * sigma * sigma) < math.inf):
+        raise ValueError(f"sigma must be positive and finite, with 1/(2 sigma^2) finite "
+                         f"and nonzero; got {sigma!r}")
 
 
 def soft_assign(d2: np.ndarray, sigma: float) -> np.ndarray:
@@ -83,8 +87,7 @@ def soft_assign(d2: np.ndarray, sigma: float) -> np.ndarray:
     omitted; the row minimum is subtracted before exponentiation so the
     largest term is exp(0) and the denominator can never underflow to zero.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
+    _check_sigma(sigma)
     d2 = np.array(d2, dtype=np.float64)
     return _soft_rows(d2, sigma, out=d2)
 
@@ -152,22 +155,19 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> Bow
         norm = np.linalg.norm(acc)
         if norm > 0:
             acc /= norm
-    return BowVector(h=acc, image=ds.source_image, codebook_id=cb.codebook_id)
+    return BowVector(h=acc)
 
 
-def save_bows(bows: Sequence[BowVector], path: str | Path) -> None:
-    """Binary batch file: header (magic, version, count, k, codebook id)
-    then count rows of k little-endian float64 values, in input order."""
-    if not bows:
-        raise ValueError("no vectors to save")
-    k = len(bows[0])
-    codebook_id = bows[0].codebook_id
-    for b in bows:
-        if len(b) != k or b.codebook_id != codebook_id:
-            raise ValueError("all vectors in a batch must share k and codebook")
+def save_bows(bows: np.ndarray, codebook_id: str, path: str | Path) -> None:
+    """Binary batch file for the (count, k) matrix ``bows``, one row per
+    image, all encoded with codebook ``codebook_id``: header (magic,
+    version, count, k, codebook id) then the count rows of k little-endian
+    float64 values, in row order."""
+    if bows.ndim != 2 or bows.size == 0:
+        raise ValueError(f"expected a non-empty (count, k) matrix, got shape {bows.shape}")
     binfile.write(path, BOW_MAGIC, BOW_VERSION,
-                  struct.pack("<2I", len(bows), k), binfile.pack_str(codebook_id),
-                  *(np.ascontiguousarray(b.h, dtype="<f8") for b in bows))
+                  struct.pack("<2I", *bows.shape), binfile.pack_str(codebook_id),
+                  np.ascontiguousarray(bows, dtype="<f8"))
 
 
 def load_bows(path: str | Path) -> tuple[np.ndarray, str]:
@@ -179,9 +179,10 @@ def load_bows(path: str | Path) -> tuple[np.ndarray, str]:
     return mat.copy(), codebook_id
 
 
-def export_bows_csv(bows: Sequence[BowVector], path: str | Path) -> None:
-    """Plain CSV (image id, k values) for eyeballing encodings."""
+def export_bows_csv(bows: np.ndarray, images: Sequence[str], path: str | Path) -> None:
+    """Plain CSV for eyeballing encodings: one line per row of the (count, k)
+    matrix ``bows``, the image id from ``images`` then the k values."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        for b in bows:
-            writer.writerow([b.image] + [repr(float(v)) for v in b.h])
+        for image, h in zip(images, bows, strict=True):
+            writer.writerow([image] + [repr(float(v)) for v in h])

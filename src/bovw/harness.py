@@ -4,8 +4,9 @@ intervals and CSV reporting for the two dictionary studies.
 The cross-base experiment builds dictionaries over one corpus and evaluates
 classification on another (and natively, on the target's own dictionaries);
 the diversity sweep builds dictionaries from nested class subsets of growing
-size. All randomness is derived from per-run integer seeds by fixed offsets,
-so one integer reproduces a run end to end.
+size. Both run through one driver, which extracts only the images their
+dictionaries and target use. All randomness is derived from per-run integer
+seeds by fixed offsets, so one integer reproduces a run end to end.
 """
 
 from __future__ import annotations
@@ -251,44 +252,56 @@ def confidence_interval(
     return mean, mean - half, mean + half
 
 
-def _curve(
+def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
+                params: EncodingParams) -> np.ndarray:
+    """Fill row i of the (len(sets), k) matrix ``bows`` with ``sets[i]``
+    encoded with ``cb``, and return it."""
+    for row, ds in zip(bows, sets, strict=True):
+        row[:] = encode_image(ds, cb, params).h
+    return bows
+
+
+def _experiment(
     experiment: str,
-    source: DatasetManifest,
-    dict_classes: str,
+    curves: Sequence[tuple[DatasetManifest, str]],
     target: DatasetManifest,
     n_train_values: Sequence[int],
     spec: SplitSpec,
     params: PipelineParams,
-    store: DescriptorStore,
+    store: DescriptorStore | None,
 ) -> list[SummaryRow]:
-    """One row per n_train. Each run seed builds its own dictionary over
-    ``source``, encodes ``target`` with it once and classifies that
-    encoding at every n_train."""
-    pool, targets = store.pool(source), store.pool(target)
-    per_seed = []
-    # ascending seeds fix the summation order of mean and std, hence the CSV bytes
-    for seed in sorted(spec.run_seeds):
-        cb = build_random_codebook(pool, params.k, seed + DICT_SEED_OFFSET,
-                                   source_name=source.name, source_classes=source.class_labels)
-        logger.info("dictionary %s from %s (%s classes)",
-                    cb.codebook_id, source.name, dict_classes)
-        bows = np.empty((len(target), cb.k), dtype=np.float64)
-        for row, ds in zip(bows, targets):
-            row[:] = encode_image(ds, cb, params.encoding).h
-        per_seed.append([run_trial(cb, target, n, seed, params, bows).accuracy
-                         for n in n_train_values])
+    """One row per (curve, n_train); a curve is a (dictionary source,
+    dict_classes) pair. Extracts only the sources and the target, all before
+    the first trial, so an unreadable image fails first. Each run seed's
+    dictionary refills one encoding of ``target``, classified at every n_train."""
+    split_balanced(target, max(n_train_values), 0)  # a too-large n_train fails before extraction
+    store = store if store is not None else DescriptorStore(params.grid)
+    pools = [store.pool(source) for source, _ in curves]
+    targets = store.pool(target)
+    bows = np.empty((len(target), params.k), dtype=np.float64)
 
     rows = []
-    for n_train, accs in zip(n_train_values, zip(*per_seed)):
-        if len(accs) >= 2:
-            mean, low, high = confidence_interval(accs, params.alpha)
-        else:
-            mean = low = high = accs[0]
-        rows.append(SummaryRow(
-            experiment, source.name, dict_classes, target.name, n_train, params.k,
-            params.encoding.sigma, params.encoding.assignment, params.encoding.pooling,
-            len(accs), mean, low, high,
-        ))
+    for (source, dict_classes), pool in zip(curves, pools):
+        per_seed = []
+        # ascending seeds fix the summation order of mean and std, hence the CSV bytes
+        for seed in sorted(spec.run_seeds):
+            cb = build_random_codebook(pool, params.k, seed + DICT_SEED_OFFSET,
+                                       source.name, source.class_labels)
+            logger.info("dictionary %s from %s (%s classes)",
+                        cb.codebook_id, source.name, dict_classes)
+            encode_rows(bows, targets, cb, params.encoding)
+            per_seed.append([run_trial(cb, target, n, seed, params, bows).accuracy
+                             for n in n_train_values])
+        for n_train, accs in zip(n_train_values, zip(*per_seed)):
+            if len(accs) >= 2:
+                mean, low, high = confidence_interval(accs, params.alpha)
+            else:
+                mean = low = high = accs[0]
+            rows.append(SummaryRow(
+                experiment, source.name, dict_classes, target.name, n_train, params.k,
+                params.encoding.sigma, params.encoding.assignment, params.encoding.pooling,
+                len(accs), mean, low, high,
+            ))
     return rows
 
 
@@ -308,17 +321,9 @@ def cross_base_experiment(
     ("cross"), on balanced splits. Rows are ordered by (configuration,
     n_train): native first, then cross.
     """
-    split_balanced(target, max(n_train_values), 0)  # a too-large n_train fails before extraction
-    store = store if store is not None else DescriptorStore(params.grid)
-    # extract up front: an unreadable image fails before any trial runs
-    store.pool(dict_source)
-    store.pool(target)
-    sources = [target, dict_source] if include_native else [dict_source]
-
-    rows: list[SummaryRow] = []
-    for source in sources:
-        rows += _curve("crossbase", source, "all", target, n_train_values, spec, params, store)
-    return rows
+    curves = [(target, "all")] if include_native else []
+    return _experiment("crossbase", curves + [(dict_source, "all")], target,
+                       n_train_values, spec, params, store)
 
 
 def diversity_sweep(
@@ -335,6 +340,7 @@ def diversity_sweep(
     Class subsets are nested: the classes used at each count contain those
     used at every smaller count (same seeded permutation throughout, from
     the smallest run seed, so the rows do not depend on the seeds' order).
+    Only the classes the largest count uses are extracted, plus the target.
     """
     if (not class_counts or class_counts[0] < 1
             or any(a >= b for a, b in zip(class_counts, class_counts[1:]))):
@@ -344,18 +350,12 @@ def diversity_sweep(
             f"class_counts max {class_counts[-1]} exceeds "
             f"{len(source.class_labels)} classes in {source.name}"
         )
-    split_balanced(target, n_train, 0)  # a too-large n_train fails before extraction
-    store = store if store is not None else DescriptorStore(params.grid)
-    # extract up front: an unreadable image fails before any trial runs
-    store.pool(source)
-    store.pool(target)
-
-    rows: list[SummaryRow] = []
+    curves = []
     for count in class_counts:
         sub = select_classes(source, count, min(spec.run_seeds) + CLASS_SEED_OFFSET)
         logger.info("sweep count=%d classes=%s", count, ",".join(sub.class_labels))
-        rows += _curve("sweep", sub, str(count), target, [n_train], spec, params, store)
-    return rows
+        curves.append((sub, str(count)))
+    return _experiment("sweep", curves, target, [n_train], spec, params, store)
 
 
 def check_summary_csv(path: str | Path) -> bool:

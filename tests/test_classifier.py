@@ -82,6 +82,13 @@ class TestTrainOvr:
         with pytest.raises(ValueError):
             train_ovr(np.empty((0, 3)), [], TrainConfig())
 
+    @pytest.mark.parametrize("c_reg", [1e308, 1e-320])
+    def test_lambda_must_be_positive_and_finite(self, c_reg):
+        # lambda = 1/(c_reg*n) is 0 for 1e308 and inf for 1e-320
+        x, y = one_hot_toy()
+        with pytest.raises(ValueError, match="lambda = 1/\\(c_reg\\*n\\) must be positive"):
+            train_ovr(x, y, TrainConfig(c_reg=c_reg))
+
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             train_ovr(np.ones((3, 2)), ["a", "b"], TrainConfig())

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bovw.classifier import MODEL_MAGIC, LinearModel, load_model, save_model
 from bovw.codebook import CODEBOOK_MAGIC, Codebook, load_codebook, save_codebook
-from bovw.encoding import BOW_MAGIC, BowVector, load_bows, save_bows
+from bovw.encoding import BOW_MAGIC, load_bows, save_bows
 from bovw.features import CACHE_MAGIC, GridParams, load_descriptor_cache, save_descriptor_cache
 
 from conftest import random_descriptor_set
@@ -29,7 +29,7 @@ def save_codebook_file(path):
 
 
 def save_bows_file(path):
-    save_bows([BowVector(np.full(3, 0.5), f"im{i}", "cb-ü") for i in range(2)], path)
+    save_bows(np.full((2, 3), 0.5), "cb-ü", path)
 
 
 def save_model_file(path):
