@@ -67,6 +67,16 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def svm_lambda(c_reg: float, n: int) -> float:
+    """The regularization weight lambda = 1/(c_reg*n) for n training vectors;
+    ValueError when it is 0 or inf (c_reg * n overflowed, or is subnormal)."""
+    lam = 1.0 / (c_reg * n)
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda = 1/(c_reg*n) must be positive and finite, got {lam!r} "
+                         f"for c_reg={c_reg!r} and n={n}")
+    return lam
+
+
 def train_ovr(
     x: np.ndarray,
     labels: Sequence[str],
@@ -105,10 +115,7 @@ def train_ovr(
     class_idx = {c: i for i, c in enumerate(classes)}
     own_class = [class_idx[l] for l in labels]
 
-    lam = 1.0 / (cfg.c_reg * n)
-    if not 0 < lam < math.inf:  # c_reg * n overflowed, or is subnormal
-        raise ValueError(f"lambda = 1/(c_reg*n) must be positive and finite, got {lam!r} "
-                         f"for c_reg={cfg.c_reg!r} and n={n}")
+    lam = svm_lambda(cfg.c_reg, n)
     w = np.zeros((len(classes), k), dtype=np.float64)
     w_rows = list(w)  # row views, updated in place
     b = [0.0] * len(classes)

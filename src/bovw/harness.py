@@ -12,17 +12,20 @@ seeds by fixed offsets, so one integer reproduces a run end to end.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import logging
+import os
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .classifier import TrainConfig, accuracy, train_ovr
+from .classifier import TrainConfig, accuracy, svm_lambda, train_ovr
 from .codebook import Codebook, build_random_codebook
 from .corpus import DatasetManifest, ManifestEntry, load_image, select_classes
-from .encoding import EncodingParams, encode_image
+from .encoding import EncodingParams, chunk_rows, encode_image
 from .features import (
     DescriptorSet,
     GridParams,
@@ -252,12 +255,67 @@ def confidence_interval(
     return mean, mean - half, mean + half
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS bundled with numpy, or
+    None where numpy ships no such library (another BLAS or platform)."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
                 params: EncodingParams) -> np.ndarray:
     """Fill row i of the (len(sets), k) matrix ``bows`` with ``sets[i]``
-    encoded with ``cb``, and return it."""
-    for row, ds in zip(bows, sets, strict=True):
+    encoded with ``cb``, and return it.
+
+    Images are encoded on one thread per core, each thread whole images, with
+    the BLAS library pinned to one thread meanwhile (numpy releases the GIL in
+    the GEMM and in the float64 steps after it; every row is the bytes a
+    serial call gives). It stays a loop in the calling thread when BLAS threads
+    cannot be pinned (unpinned image threads were slower than the loop), or
+    when the images average no more than one streamed chunk of points, where
+    threads gained no time and cost memory.
+    """
+    def fill(job: tuple[np.ndarray, DescriptorSet]) -> None:
+        row, ds = job
         row[:] = encode_image(ds, cb, params).h
+
+    jobs = list(zip(bows, sets, strict=True))
+    workers = min(_cores(), len(jobs))
+    beyond_one_chunk = sum(map(len, sets)) > chunk_rows(params) * len(sets)
+    blas = _openblas_threads() if workers > 1 and beyond_one_chunk else None
+    if blas is None:
+        for job in jobs:
+            fill(job)
+        return bows
+
+    # imported here, so that the serial loop loads no executor module (+0.4 MiB)
+    from concurrent.futures import ThreadPoolExecutor
+
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(fill, jobs):
+                pass
+    finally:
+        set_threads(previous)
     return bows
 
 
@@ -274,7 +332,10 @@ def _experiment(
     dict_classes) pair. Extracts only the sources and the target, all before
     the first trial, so an unreadable image fails first. Each run seed's
     dictionary refills one encoding of ``target``, classified at every n_train."""
-    split_balanced(target, max(n_train_values), 0)  # a too-large n_train fails before extraction
+    # a too-large n_train, or one whose SVM lambda is 0 or inf, fails before extraction
+    split_balanced(target, max(n_train_values), 0)
+    for n_train in n_train_values:
+        svm_lambda(params.c_reg, n_train * len(target.class_labels))
     store = store if store is not None else DescriptorStore(params.grid)
     pools = [store.pool(source) for source, _ in curves]
     targets = store.pool(target)

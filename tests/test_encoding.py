@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bovw.encoding
 from bovw.codebook import Codebook
 from bovw.encoding import (
     _CHUNK,
     EncodingParams,
+    chunk_rows,
     encode_image,
     export_bows_csv,
     load_bows,
@@ -384,6 +386,32 @@ class TestExactKernel:
                 ds = DescriptorSet(np.zeros((len(pts), 2), np.int32), pts, "im")
                 want = pooled_reference(exact_d2(pts, cb.words), assignment, pooling, 60.0, False)
                 assert np.array_equal(encode_image(ds, cb, params).h, want)
+
+
+class TestChunkSize:
+    """Only soft average pooling's bytes depend on the chunk size; the other
+    modes stream smaller chunks because they are exact at any size."""
+
+    def test_chunk_rows(self):
+        assert chunk_rows(EncodingParams(assignment="soft", pooling="average")) == _CHUNK == 512
+        for assignment, pooling in (("soft", "max"), ("hard", "max"), ("hard", "average")):
+            assert chunk_rows(EncodingParams(assignment=assignment, pooling=pooling)) == 192
+
+    @pytest.mark.parametrize("l2_normalize", [False, True])
+    @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "max"),
+                                                    ("hard", "average")])
+    def test_encodings_equal_across_chunk_sizes(self, monkeypatch, assignment, pooling,
+                                                l2_normalize):
+        cb = make_codebook(TestExactKernel.WORDS)  # nearest-word ties included
+        for n in (1, 63, 300, 1025):
+            ds = DescriptorSet(np.zeros((n, 2), np.int32), extreme_bytes(n, n + 1), "im")
+            for sigma in (60.0, 7.5):
+                params = EncodingParams(sigma, assignment, pooling, l2_normalize)
+                got = []
+                for rows in (64, 192, 256, 512):
+                    monkeypatch.setattr(bovw.encoding, "_EXACT_CHUNK", rows)
+                    got.append(encode_image(ds, cb, params).h)
+                assert all(np.array_equal(h, got[0]) for h in got), (n, sigma)
 
 
 class TestBowIO:

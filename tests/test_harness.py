@@ -1,6 +1,8 @@
 import ast
+import functools
 import re
 import shlex
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bovw.codebook import build_random_codebook
+from bovw.codebook import Codebook, build_random_codebook
 from bovw.corpus import (
     DatasetManifest,
     ManifestEntry,
@@ -17,7 +19,7 @@ from bovw.corpus import (
     load_manifest,
     select_classes,
 )
-from bovw.encoding import EncodingParams, encode_image, save_bows
+from bovw.encoding import EncodingParams, chunk_rows, encode_image, save_bows
 from bovw.features import GridParams, cache_path, extract_dense_sift, load_descriptor_cache
 import bovw.harness
 from bovw.harness import (
@@ -37,7 +39,7 @@ from bovw.harness import (
 )
 from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_texture
 
-from conftest import MICRO_SPECS, run_cli
+from conftest import MICRO_SPECS, random_descriptor_set, run_cli
 
 
 def toy_manifest(sizes: dict[str, int]) -> DatasetManifest:
@@ -185,6 +187,83 @@ class TestRunTrial:
         a = run_trial(cb, micro_corpus, 4, 3, micro_params, bows)
         b = run_trial(cb, micro_corpus, 4, 3, micro_params, bows)
         assert a == b
+
+
+class TestEncodeRows:
+    """encode_rows against one encode_image call per image. 81-point images
+    are within one chunk in every mode and stay on the calling thread;
+    600-point images go to image threads wherever BLAS threads can be pinned.
+    ``_cores`` is pinned to 2, so the pool runs on any machine."""
+
+    MODES = [("soft", "max"), ("soft", "average"), ("hard", "max"), ("hard", "average")]
+
+    @pytest.fixture(scope="class")
+    def cb(self):
+        words = np.random.default_rng(30).integers(0, 256, (200, 128)).astype(np.uint8)
+        return Codebook(words, "words", (), 0)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(thread, BLAS thread count or None) per encode_image call."""
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
+        real, blas, seen = bovw.harness.encode_image, bovw.harness._openblas_threads(), []
+
+        def traced(*args):
+            seen.append((threading.get_ident(), blas and blas[0]()))
+            return real(*args)
+
+        monkeypatch.setattr(bovw.harness, "encode_image", traced)
+        return seen
+
+    @pytest.mark.parametrize("points", [81, 600])
+    @pytest.mark.parametrize("assignment,pooling", MODES)
+    def test_rows_equal_one_call_per_image(self, cb, calls, points, assignment, pooling):
+        params = EncodingParams(assignment=assignment, pooling=pooling)
+        sets = [random_descriptor_set(points + i, seed=i) for i in range(5)]
+        want = np.array([encode_image(ds, cb, params).h for ds in sets])
+        assert np.array_equal(encode_rows(np.full(want.shape, np.nan), sets, cb, params), want)
+        threaded = points > chunk_rows(params) and bovw.harness._openblas_threads() is not None
+        main = threading.get_ident()
+        if threaded:
+            assert all(thread != main and blas == 1 for thread, blas in calls)
+        else:
+            assert {thread for thread, _ in calls} == {main}
+
+    def test_blas_threads_restored_after_success_and_error(self, cb, calls, monkeypatch):
+        blas = bovw.harness._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
+        before = blas[0]()
+        sets = [random_descriptor_set(300, seed=i) for i in range(4)]
+        bows = np.empty((len(sets), cb.k))
+        encode_rows(bows, sets, cb, EncodingParams())
+        assert blas[0]() == before and [b for _, b in calls] == [1] * len(sets)
+
+        err = ValueError("descriptor dims do not match codebook dims")
+        traced = bovw.harness.encode_image
+
+        def failing(ds, *args):
+            if ds is sets[2]:
+                raise err
+            return traced(ds, *args)
+
+        monkeypatch.setattr(bovw.harness, "encode_image", failing)
+        with pytest.raises(ValueError) as info:
+            encode_rows(bows, sets, cb, EncodingParams())
+        assert info.value is err  # the worker's exception, unchanged
+        assert blas[0]() == before
+
+    def test_serial_when_blas_symbols_are_missing(self, cb, calls, monkeypatch):
+        # a library without the thread-count symbols, looked up afresh
+        monkeypatch.setattr(bovw.harness.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(bovw.harness, "_openblas_threads",
+                            functools.cache(bovw.harness._openblas_threads.__wrapped__))
+        assert bovw.harness._openblas_threads() is None
+        sets = [random_descriptor_set(600, seed=i) for i in range(4)]
+        params = EncodingParams()
+        want = np.array([encode_image(ds, cb, params).h for ds in sets])
+        assert np.array_equal(encode_rows(np.empty(want.shape), sets, cb, params), want)
+        assert {thread for thread, _ in calls} == {threading.get_ident()}
 
 
 class TestExperiments:
@@ -517,6 +596,10 @@ class TestCli:
         (["crossbase", "--ntrain", "3,8"], "need more than n_train=8"),
         (["sweep", "--ntrain", "8", "--class-counts", "1,3"], "need more than n_train=8"),
         (["crossbase", "--ntrain", "3", "--sigma", "1e-200"], "sigma must be positive and finite"),
+        (["crossbase", "--ntrain", "3", "--c-reg", "1e308"],
+         "lambda = 1/(c_reg*n) must be positive and finite, got 0.0 for c_reg=1e+308 and n=9"),
+        (["sweep", "--ntrain", "2", "--class-counts", "1,3", "--c-reg", "1e-320"],
+         "lambda = 1/(c_reg*n) must be positive and finite, got inf for c_reg=1e-320 and n=6"),
     ])
     def test_bad_input_fails_before_any_extraction(self, tmp_path, micro_corpus, argv, message):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
