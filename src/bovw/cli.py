@@ -88,9 +88,7 @@ def _int_list(text: str) -> list[int]:
 def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
-    total = 0
-    for entry in manifest.entries:
-        total += len(store.get(manifest, entry))
+    total = sum(map(len, store.pool(manifest)))
     print(f"extracted {len(manifest)} images, {total} descriptors -> {args.cache_dir}")
     return 0
 

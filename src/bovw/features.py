@@ -4,6 +4,11 @@ Descriptors are 128-dimensional gradient-orientation histograms (4x4 spatial
 cells x 8 orientation bins) computed on fixed-size patches centered on a
 regular grid, then byte-quantized to 0..255. No orientation assignment and
 no scale pyramid: one patch size, grid stride in pixels.
+
+An image's patches are described in blocks of ``BLOCK_PATCHES``, each block
+by one orientation scatter and one matrix product, so extraction works in
+bounded memory whatever the image size. The bytes are those of describing
+all patches at once, one orientation bin at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ N_SPATIAL_CELLS = 4  # per axis
 N_ORIENT_BINS = 8
 CLAMP_THRESHOLD = 0.2
 BYTE_SCALE = 512.0
+# patches per _describe_patches call: about 12 MiB of work arrays at S=16
+BLOCK_PATCHES = 256
 
 CACHE_MAGIC = b"BVWD"
 CACHE_VERSION = 1
@@ -85,12 +92,21 @@ def dense_grid(width: int, height: int, params: GridParams) -> np.ndarray:
 
 
 def extract_dense_sift(image: Image, params: GridParams, source: str = "") -> DescriptorSet:
-    """One descriptor per dense-grid keypoint, in grid order."""
+    """One descriptor per dense-grid keypoint, in grid order.
+
+    Patches go through ``_describe_patches`` in blocks of ``BLOCK_PATCHES``,
+    so the float64 working set is bounded whatever the image size.
+    """
     keypoints = dense_grid(image.width, image.height, params)
     s = params.patch_size
     # window (r, c) is the patch centered at (c + s/2, r + s/2)
     windows = sliding_window_view(image.pixels, (s, s))[:: params.stride, :: params.stride]
-    descriptors = _describe_patches(windows.astype(np.float64).reshape(-1, s, s))
+    n, cols = len(keypoints), windows.shape[1]
+    descriptors = np.empty((n, DESCRIPTOR_DIMS), dtype=np.uint8)
+    for start in range(0, n, BLOCK_PATCHES):
+        r, c = np.divmod(np.arange(start, min(start + BLOCK_PATCHES, n)), cols)
+        block = windows[r, c].astype(np.float64)
+        descriptors[start : start + len(block)] = _describe_patches(block)
     return DescriptorSet(keypoints=keypoints, descriptors=descriptors, source_image=source)
 
 
@@ -103,9 +119,19 @@ def _describe_patches(patches: np.ndarray) -> np.ndarray:
     soft-binning into 4x4 cells x 8 orientation bins, L2 normalization, 0.2
     clamp, renormalization and x512 byte quantization. A constant-intensity
     patch (zero histogram norm) yields the all-zero descriptor.
+
+    Each pixel's two orientation masses are scattered into one zeroed
+    (N, 8, S*S) array and pooled into cells by one (N*8, S*S) @ (S*S, 16)
+    product. The bytes equal a per-bin evaluation (one masked copy and one
+    product per bin, kept in ``tests/oracles.py``): arctan2 lies in
+    [-pi, pi], where adding 2*pi to the negative angles is exactly
+    ``np.mod(theta, 2*pi)`` (a -0.0 angle falls in bin 0 with zero fraction
+    either way), a pixel's two bins always differ, and its masses are >= +0,
+    so each scattered value is the masked sum's value.
     """
     n, s = patches.shape[0], patches.shape[1]
     cs = s // N_SPATIAL_CELLS
+    npix = s * s
 
     padded = np.pad(patches, ((0, 0), (1, 1), (1, 1)), mode="edge")
     gx = (padded[:, 1:-1, 2:] - padded[:, 1:-1, :-2]) / 2.0
@@ -117,17 +143,24 @@ def _describe_patches(patches: np.ndarray) -> np.ndarray:
     sigma_w = s / 2.0
     coords = np.arange(s, dtype=np.float64)
     g1d = np.exp(-((coords - center) ** 2) / (2.0 * sigma_w**2))
-    weighted = (mag * (g1d[:, np.newaxis] * g1d[np.newaxis, :])).reshape(n, s * s)
+    weighted = (mag * (g1d[:, np.newaxis] * g1d[np.newaxis, :])).reshape(n, npix)
 
     # orientation soft-binning: each pixel splits its mass between the two
     # adjacent bins on the 8-bin circle
     bin_width = 2.0 * np.pi / N_ORIENT_BINS
-    ob = (np.mod(theta, 2.0 * np.pi) / bin_width).reshape(n, s * s)
-    o0 = np.floor(ob).astype(np.intp) % N_ORIENT_BINS
-    o1 = (o0 + 1) % N_ORIENT_BINS
-    fo = ob - np.floor(ob)
-    w0 = weighted * (1.0 - fo)
-    w1 = weighted * fo
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
+    ob = (theta / bin_width).reshape(n, npix)
+    floor_ob = np.floor(ob)
+    o0 = floor_ob.astype(np.intp) & (N_ORIENT_BINS - 1)
+    o1 = (o0 + 1) & (N_ORIENT_BINS - 1)
+    fo = ob - floor_ob
+
+    # per-pixel mass by orientation bin, at flat index (patch*8 + bin)*S*S + pixel
+    by_bin = np.zeros((n, N_ORIENT_BINS, npix), dtype=np.float64)
+    flat = by_bin.reshape(-1)
+    base = (np.arange(n) * (N_ORIENT_BINS * npix))[:, np.newaxis] + np.arange(npix)
+    flat[base + o0 * npix] = weighted * (1.0 - fo)
+    flat[base + o1 * npix] = weighted * fo
 
     # spatial bilinear weights are data-independent: (S, 4) per axis, each
     # pixel split between its two nearest cell centers (none past the edge)
@@ -139,11 +172,8 @@ def _describe_patches(patches: np.ndarray) -> np.ndarray:
     # combined pixel -> cell map, (S*S, 16): row y*S + x, column row_cell*4 + col_cell
     spatial = np.kron(axis_w, axis_w)
 
-    # one orientation bin at a time: its per-pixel mass, pooled into cells
-    hist = np.empty((n, N_SPATIAL_CELLS * N_SPATIAL_CELLS, N_ORIENT_BINS), dtype=np.float64)
-    for b in range(N_ORIENT_BINS):
-        hist[:, :, b] = (np.where(o0 == b, w0, 0.0) + np.where(o1 == b, w1, 0.0)) @ spatial
-    hist = hist.reshape(n, DESCRIPTOR_DIMS)
+    pooled = (by_bin.reshape(n * N_ORIENT_BINS, npix) @ spatial).reshape(n, N_ORIENT_BINS, -1)
+    hist = pooled.transpose(0, 2, 1).reshape(n, DESCRIPTOR_DIMS)
 
     norms = np.linalg.norm(hist, axis=1, keepdims=True)
     nonzero = norms[:, 0] > 0.0

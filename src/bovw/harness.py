@@ -154,30 +154,47 @@ class DescriptorStore:
         self._memory: dict[Path, DescriptorSet] = {}
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
+        ds = self._stored(manifest, entry)
+        return ds if ds is not None else self._extract(manifest, entry)
+
+    def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
+        """Descriptor sets for every entry, in manifest order.
+
+        Images with neither a memory entry nor a readable cache file are
+        extracted first, on image threads (``_on_image_threads``); the sets
+        are the bytes serial ``get`` calls give."""
+        misses = [e for e in manifest.entries if self._stored(manifest, e) is None]
+        if len(misses) > 1:
+            _on_image_threads(lambda e: self._extract(manifest, e), misses)
+        return [self.get(manifest, e) for e in manifest.entries]
+
+    def _stored(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet | None:
+        """The entry's set from memory, or from its cache file (then kept in
+        memory); None if neither has it."""
         path = manifest.resolve(entry)
         ds = self._memory.get(path)
-        if ds is not None:
+        if ds is not None or self.cache_dir is None:
             return ds
-        cpath = None if self.cache_dir is None else cache_path(self.cache_dir, path, self.grid)
-        if cpath is not None and cpath.is_file():
-            try:
-                ds = load_descriptor_cache(cpath, self.grid, source_image=entry.path)
-            except ValueError as err:
-                logger.warning("re-extracting %s: unreadable cache file (%s)", path, err)
-            else:
-                self._memory[path] = ds
-                return ds
-        image = load_image(path)
-        logger.debug("extracting %s (%dx%d)", path, image.width, image.height)
-        ds = extract_dense_sift(image, self.grid, source=entry.path)
-        if cpath is not None:
-            save_descriptor_cache(cpath, ds, self.grid)
+        cpath = cache_path(self.cache_dir, path, self.grid)
+        if not cpath.is_file():
+            return None
+        try:
+            ds = load_descriptor_cache(cpath, self.grid, source_image=entry.path)
+        except ValueError as err:
+            logger.warning("re-extracting %s: unreadable cache file (%s)", path, err)
+            return None
         self._memory[path] = ds
         return ds
 
-    def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
-        """Descriptor sets for every entry, in manifest order."""
-        return [self.get(manifest, e) for e in manifest.entries]
+    def _extract(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
+        path = manifest.resolve(entry)
+        image = load_image(path)
+        logger.debug("extracting %s (%dx%d)", path, image.width, image.height)
+        ds = extract_dense_sift(image, self.grid, source=entry.path)
+        if self.cache_dir is not None:
+            save_descriptor_cache(cache_path(self.cache_dir, path, self.grid), ds, self.grid)
+        self._memory[path] = ds
+        return ds
 
 
 def split_balanced(
@@ -278,31 +295,19 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
-                params: EncodingParams) -> np.ndarray:
-    """Fill row i of the (len(sets), k) matrix ``bows`` with ``sets[i]``
-    encoded with ``cb``, and return it.
-
-    Images are encoded on one thread per core, each thread whole images, with
-    the BLAS library pinned to one thread meanwhile (numpy releases the GIL in
-    the GEMM and in the float64 steps after it; every row is the bytes a
-    serial call gives). It stays a loop in the calling thread when BLAS threads
-    cannot be pinned (unpinned image threads were slower than the loop), or
-    when the images average no more than one streamed chunk of points, where
-    threads gained no time and cost memory.
-    """
-    def fill(job: tuple[np.ndarray, DescriptorSet]) -> None:
-        row, ds = job
-        row[:] = encode_image(ds, cb, params).h
-
-    jobs = list(zip(bows, sets, strict=True))
+def _on_image_threads(fn, jobs: Sequence, threaded: bool = True) -> None:
+    """Call ``fn`` on every job: on one thread per core, with the BLAS
+    library pinned to one thread meanwhile and its thread count restored
+    afterwards, also on an error (the first job's exception, in job order, is
+    raised). A plain loop in the calling thread instead when ``threaded`` is
+    false, on one core or for one job, or when BLAS threads cannot be pinned
+    (unpinned image threads were slower than the loop)."""
     workers = min(_cores(), len(jobs))
-    beyond_one_chunk = sum(map(len, sets)) > chunk_rows(params) * len(sets)
-    blas = _openblas_threads() if workers > 1 and beyond_one_chunk else None
+    blas = _openblas_threads() if threaded and workers > 1 else None
     if blas is None:
         for job in jobs:
-            fill(job)
-        return bows
+            fn(job)
+        return
 
     # imported here, so that the serial loop loads no executor module (+0.4 MiB)
     from concurrent.futures import ThreadPoolExecutor
@@ -311,11 +316,30 @@ def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
     previous = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(fill, jobs):
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            for _ in executor.map(fn, jobs):
                 pass
     finally:
         set_threads(previous)
+
+
+def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
+                params: EncodingParams) -> np.ndarray:
+    """Fill row i of the (len(sets), k) matrix ``bows`` with ``sets[i]``
+    encoded with ``cb``, and return it.
+
+    Images are encoded on image threads (``_on_image_threads``): numpy
+    releases the GIL in the GEMM and in the float64 steps after it, and every
+    row is the bytes a serial call gives. It stays a loop when the images
+    average no more than one streamed chunk of points, where threads gained
+    no time and cost memory.
+    """
+    def fill(job: tuple[np.ndarray, DescriptorSet]) -> None:
+        row, ds = job
+        row[:] = encode_image(ds, cb, params).h
+
+    jobs = list(zip(bows, sets, strict=True))
+    _on_image_threads(fill, jobs, sum(map(len, sets)) > chunk_rows(params) * len(sets))
     return bows
 
 

@@ -4,9 +4,11 @@ Everything here is deliberately written as plain scalar loops (stdlib math
 only, no numpy broadcasting) so it cannot share a code path, or a bug, with
 the library. These oracles define the reference semantics the vectorized
 implementations are checked against. The exceptions are ``hard_assign``,
-one-hot rows over a whole distance matrix, and ``train_ovr_reference``: the
-SVM training loop's textbook vectorized form, kept so the library's loop can
-be checked against it bit for bit.
+one-hot rows over a whole distance matrix, ``describe_patches_per_bin``, the
+dense-SIFT kernel's earlier one-bin-at-a-time form, and
+``train_ovr_reference``: the SVM training loop's textbook vectorized form.
+The last two are kept so the library's kernels can be checked against them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +77,58 @@ def sift_reference(patch) -> list[int]:
     norm2 = math.sqrt(sum(x * x for x in v))
     v = [x / norm2 for x in v]
     return [int(min(max(_round_half_even(x * 512.0), 0.0), 255.0)) for x in v]
+
+
+def describe_patches_per_bin(patches) -> np.ndarray:
+    """Descriptors of a whole (N, S, S) float patch stack, pooled one
+    orientation bin at a time: a masked copy of every pixel's mass in that
+    bin, then one (N, S*S) @ (S*S, 16) product per bin."""
+    patches = np.asarray(patches, dtype=np.float64)
+    n, s = patches.shape[0], patches.shape[1]
+    cs = s // 4
+
+    padded = np.pad(patches, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    gx = (padded[:, 1:-1, 2:] - padded[:, 1:-1, :-2]) / 2.0
+    gy = (padded[:, 2:, 1:-1] - padded[:, :-2, 1:-1]) / 2.0
+    mag = np.hypot(gx, gy)
+    theta = np.arctan2(gy, gx)
+
+    center = (s - 1) / 2.0
+    sigma_w = s / 2.0
+    coords = np.arange(s, dtype=np.float64)
+    g1d = np.exp(-((coords - center) ** 2) / (2.0 * sigma_w**2))
+    weighted = (mag * (g1d[:, np.newaxis] * g1d[np.newaxis, :])).reshape(n, s * s)
+
+    bin_width = 2.0 * np.pi / 8
+    ob = (np.mod(theta, 2.0 * np.pi) / bin_width).reshape(n, s * s)
+    o0 = np.floor(ob).astype(np.intp) % 8
+    o1 = (o0 + 1) % 8
+    fo = ob - np.floor(ob)
+    w0 = weighted * (1.0 - fo)
+    w1 = weighted * fo
+
+    cell_coord = (coords - (cs - 1) / 2.0) / cs
+    i0 = np.floor(cell_coord).astype(np.intp)[:, np.newaxis]
+    fr = (cell_coord - np.floor(cell_coord))[:, np.newaxis]
+    cells = np.arange(4)
+    axis_w = np.where(cells == i0, 1.0 - fr, 0.0) + np.where(cells == i0 + 1, fr, 0.0)
+    spatial = np.kron(axis_w, axis_w)
+
+    hist = np.empty((n, 16, 8), dtype=np.float64)
+    for b in range(8):
+        hist[:, :, b] = (np.where(o0 == b, w0, 0.0) + np.where(o1 == b, w1, 0.0)) @ spatial
+    hist = hist.reshape(n, 128)
+
+    norms = np.linalg.norm(hist, axis=1, keepdims=True)
+    nonzero = norms[:, 0] > 0.0
+    out = np.zeros((n, 128), dtype=np.uint8)
+    if np.any(nonzero):
+        v = hist[nonzero] / norms[nonzero]
+        np.minimum(v, 0.2, out=v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        q = np.clip(np.round(v * 512.0), 0.0, 255.0)
+        out[nonzero] = q.astype(np.uint8)
+    return out
 
 
 def _round_half_even(x: float) -> float:

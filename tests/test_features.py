@@ -3,9 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from bovw import features
 from bovw.corpus import Image
 from bovw.features import (
+    BLOCK_PATCHES,
     DescriptorSet,
     GridParams,
     cache_path,
@@ -14,9 +17,10 @@ from bovw.features import (
     load_descriptor_cache,
     save_descriptor_cache,
 )
+from bovw.synth import render_texture, textures8_specs
 
 from conftest import describe_patch
-from oracles import grid_centers, sift_reference
+from oracles import describe_patches_per_bin, grid_centers, sift_reference
 
 
 def random_image(width, height, seed=0):
@@ -167,6 +171,63 @@ class TestExtractDenseSift:
         assert digest.hexdigest() == (
             "de098d31cddde5d773d00ad49c92a314d1414d43e94802ca096c0f1753b7671c"
         )
+
+
+class TestBlockedKernel:
+    """The blocked, one-product kernel against the per-bin evaluation of the
+    whole image at once (tests/oracles.py), byte for byte: the descriptor
+    cache key carries no algorithm version."""
+
+    @pytest.fixture(scope="class")
+    def texture(self):
+        return render_texture(textures8_specs()[4], 256, np.random.default_rng(14)).pixels
+
+    @staticmethod
+    def per_bin(pixels, params):
+        s = params.patch_size
+        windows = sliding_window_view(pixels, (s, s))[:: params.stride, :: params.stride]
+        return describe_patches_per_bin(windows.reshape(-1, s, s))
+
+    @pytest.mark.parametrize("patch", [8, 12, 16, 20])
+    def test_whole_texture_image(self, texture, patch):
+        params = GridParams(patch_size=patch)
+        ds = extract_dense_sift(Image(pixels=texture), params)
+        if patch == 16:
+            assert len(ds) == 1681
+        assert np.array_equal(ds.descriptors, self.per_bin(texture, params))
+
+    @pytest.mark.parametrize("patch", [8, 12, 16, 20])
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 513])
+    def test_patch_counts_around_the_block_size(self, texture, patch, count):
+        # one row of `count` patches at stride 1, cut from the texture tiled sideways
+        assert BLOCK_PATCHES == 256
+        pixels = np.tile(texture, (1, 3))[:patch, : patch - 1 + count]
+        params = GridParams(stride=1, patch_size=patch)
+        ds = extract_dense_sift(Image(pixels=pixels), params)
+        assert len(ds) == count
+        assert np.array_equal(ds.descriptors, self.per_bin(pixels, params))
+
+    def test_step_edges_at_plus_minus_pi_and_signed_zero(self):
+        # a bright stripe on a floor of signed zeros: left of it gx > 0, right
+        # of it gx < 0, and gy is -0.0 or +0.0, so theta takes -0.0, +0.0,
+        # -pi and +pi
+        floor = np.where((np.arange(16) // 2) % 2 == 0, 0.0, -0.0)
+        patch = np.repeat(floor[:, np.newaxis], 16, axis=1)
+        patch[:, 6:10] = 200.0
+        padded = np.pad(patch, 1, mode="edge")
+        theta = np.arctan2((padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0,
+                           (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0)
+        assert {np.pi, -np.pi} <= set(theta.ravel().tolist())
+        assert np.signbit(theta[theta == 0.0]).any() and not np.signbit(theta[theta == 0.0]).all()
+        patches = np.stack([patch, patch[:, ::-1], patch.T, -patch])
+        assert np.array_equal(features._describe_patches(patches),
+                              describe_patches_per_bin(patches))
+
+        pixels = np.zeros((16, 40), np.uint8)
+        pixels[:, :20] = 255  # gx < 0, gy = +0.0: theta = +pi
+        params = GridParams(stride=1)
+        assert np.array_equal(extract_dense_sift(Image(pixels=pixels), params).descriptors,
+                              self.per_bin(pixels, params))
 
 
 class TestDescriptorCache:

@@ -2,6 +2,7 @@ import ast
 import functools
 import re
 import shlex
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -233,25 +234,29 @@ class TestEncodeRows:
         blas = bovw.harness._openblas_threads()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
-        before = blas[0]()
-        sets = [random_descriptor_set(300, seed=i) for i in range(4)]
-        bows = np.empty((len(sets), cb.k))
-        encode_rows(bows, sets, cb, EncodingParams())
-        assert blas[0]() == before and [b for _, b in calls] == [1] * len(sets)
-
-        err = ValueError("descriptor dims do not match codebook dims")
-        traced = bovw.harness.encode_image
-
-        def failing(ds, *args):
-            if ds is sets[2]:
-                raise err
-            return traced(ds, *args)
-
-        monkeypatch.setattr(bovw.harness, "encode_image", failing)
-        with pytest.raises(ValueError) as info:
+        initial = blas[0]()
+        blas[1](2)  # not the pinned 1, so a count left at 1 shows
+        try:
+            sets = [random_descriptor_set(300, seed=i) for i in range(4)]
+            bows = np.empty((len(sets), cb.k))
             encode_rows(bows, sets, cb, EncodingParams())
-        assert info.value is err  # the worker's exception, unchanged
-        assert blas[0]() == before
+            assert blas[0]() == 2 and [b for _, b in calls] == [1] * len(sets)
+
+            err = ValueError("descriptor dims do not match codebook dims")
+            traced = bovw.harness.encode_image
+
+            def failing(ds, *args):
+                if ds is sets[2]:
+                    raise err
+                return traced(ds, *args)
+
+            monkeypatch.setattr(bovw.harness, "encode_image", failing)
+            with pytest.raises(ValueError) as info:
+                encode_rows(bows, sets, cb, EncodingParams())
+            assert info.value is err  # the worker's exception, unchanged
+            assert blas[0]() == 2
+        finally:
+            blas[1](initial)
 
     def test_serial_when_blas_symbols_are_missing(self, cb, calls, monkeypatch):
         # a library without the thread-count symbols, looked up afresh
@@ -424,6 +429,107 @@ class TestDescriptorStore:
         assert "re-extracting" in caplog.text
         assert cpath.read_bytes() == data
         assert np.array_equal(load_descriptor_cache(cpath, grid).descriptors, fresh.descriptors)
+
+
+class TestPool:
+    """DescriptorStore.pool extracts its misses on image threads; ``_cores``
+    is pinned to 2, so the threads run on any machine that can pin BLAS."""
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        """(thread, BLAS thread count or None) per extract_dense_sift call."""
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
+        real, blas, seen = bovw.harness.extract_dense_sift, bovw.harness._openblas_threads(), []
+
+        def traced(*args, **kwargs):
+            seen.append((threading.get_ident(), blas and blas[0]()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bovw.harness, "extract_dense_sift", traced)
+        return seen
+
+    def test_threaded_pool_equals_serial_gets(self, micro_corpus, tmp_path, extractions):
+        grid = GridParams()
+        serial = DescriptorStore(grid, cache_dir=tmp_path / "serial")
+        want = [serial.get(micro_corpus, e) for e in micro_corpus.entries]
+        del extractions[:]
+        got = DescriptorStore(grid, cache_dir=tmp_path / "pool").pool(micro_corpus)
+        assert [ds.source_image for ds in got] == [e.path for e in micro_corpus.entries]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.keypoints, b.keypoints)
+            assert np.array_equal(a.descriptors, b.descriptors)
+        for e in micro_corpus.entries:
+            name = cache_path(".", micro_corpus.resolve(e), grid).name
+            want_bytes = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "pool" / name).read_bytes() == want_bytes
+        assert len(extractions) == len(micro_corpus)
+        if bovw.harness._openblas_threads() is not None:
+            main = threading.get_ident()
+            assert all(thread != main and blas == 1 for thread, blas in extractions)
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self, micro_corpus,
+                                                                   monkeypatch):
+        # every thread writes the store's one memory dict
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 8)
+        want = [extract_dense_sift(load_image(micro_corpus.resolve(e)), GridParams()).descriptors
+                for e in micro_corpus.entries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            store = DescriptorStore(GridParams())
+            got = store.pool(micro_corpus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(store._memory) == len(micro_corpus)
+        assert all(np.array_equal(a.descriptors, b) for a, b in zip(got, want, strict=True))
+
+    def test_blas_threads_restored_after_success_and_unreadable_image(
+            self, micro_corpus, tmp_path, extractions):
+        blas = bovw.harness._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
+        get_threads, set_threads = blas
+        initial = get_threads()
+        set_threads(2)  # not the pinned 1, so a count left at 1 shows
+        try:
+            DescriptorStore(GridParams()).pool(micro_corpus)
+            assert get_threads() == 2 and {b for _, b in extractions} == {1}
+
+            entries = micro_corpus.entries[:6]
+            for e in entries:
+                (tmp_path / e.path).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / e.path).write_bytes(micro_corpus.resolve(e).read_bytes())
+            (tmp_path / entries[3].path).write_bytes(b"P5 48 48 255\n" + bytes(100))
+            broken = DatasetManifest("broken", entries, base_dir=tmp_path)
+            with pytest.raises(ValueError, match="truncated payload"):
+                DescriptorStore(GridParams(), cache_dir=tmp_path / "cache").pool(broken)
+            assert get_threads() == 2
+        finally:
+            set_threads(initial)
+
+    def test_warm_pool_constructs_no_executor(self, micro_corpus, tmp_path, extractions,
+                                              monkeypatch):
+        import concurrent.futures
+
+        grid = GridParams()
+        store = DescriptorStore(grid, cache_dir=tmp_path)
+        want = store.pool(micro_corpus)
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a warm pool constructed an executor")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
+        del extractions[:]
+        assert all(a is b for a, b in zip(store.pool(micro_corpus), want))  # memory-warm
+        on_disk = DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)  # disk-warm
+        for a, b in zip(on_disk, want, strict=True):
+            assert np.array_equal(a.descriptors, b.descriptors)
+        assert extractions == []
+
+        # one miss is extracted on the calling thread
+        cache_path(tmp_path, micro_corpus.resolve(micro_corpus.entries[5]), grid).unlink()
+        DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
+        assert [thread for thread, _ in extractions] == [threading.get_ident()]
 
 
 class TestSummaryCsv:
