@@ -85,6 +85,12 @@ def _int_list(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _positive_list(text: str) -> list[int]:
+    if min(values := _int_list(text)) >= 1:
+        return values
+    raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+
+
 def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossbase", help="native vs cross-corpus dictionary comparison")
     p.add_argument("--source", required=True, help="dictionary-source manifest")
     p.add_argument("--target", required=True, help="evaluation-target manifest")
-    p.add_argument("--ntrain", type=_int_list, required=True,
+    p.add_argument("--ntrain", type=_positive_list, required=True,
                    help="comma-separated training sizes per class")
     p.add_argument("--no-native", action="store_true",
                    help="skip the native (target-built) configuration")
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--class-counts", type=_int_list, default=[1, 6, 12, 25, 50, 101],
                    help="comma-separated nested subset sizes")
-    p.add_argument("--ntrain", type=int, default=30, help="training images per class")
+    p.add_argument("--ntrain", type=_positive, default=30, help="training images per class")
     _add_experiment_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -4,6 +4,11 @@ Random sampling replaces clustering: words are raw descriptors drawn without
 replacement from the flattened pool (dataset order, then grid order), which
 is known to give dictionaries of quality comparable to k-means at a fraction
 of the cost.
+
+The walk's k draws are one ``rng.integers(np.arange(k), total)`` call: numpy
+fills it in order with the bounded sampler of a scalar ``integers(i, total)``
+call, and a one-value last range (k == total) draws no bits in either, so it
+gives the stream of k scalar draws and the words of ``tests/oracles.py``'s loop.
 """
 
 from __future__ import annotations
@@ -71,27 +76,19 @@ def build_random_codebook(
     if total < k:
         raise ValueError(f"pool has {total} descriptors, need at least {k}")
 
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).integers(np.arange(k), total).tolist()
     swapped: dict[int, int] = {}
-    picked = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        j = int(rng.integers(i, total))
-        vi = swapped.get(i, i)
-        vj = swapped.get(j, j)
-        swapped[i], swapped[j] = vj, vi
-        picked[i] = vj
-
+    for i, j in enumerate(draws):
+        swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+    # step i settles position i: later steps swap only positions above it
+    picked = np.array([swapped[i] for i in range(k)], dtype=np.int64)
     offsets = np.cumsum([0] + sizes)
+    image = np.searchsorted(offsets, picked, side="right") - 1
+    rows = zip(image.tolist(), (picked - offsets[image]).tolist())
     words = np.empty((k, DESCRIPTOR_DIMS), dtype=np.uint8)
-    for row, flat in enumerate(picked):
-        ds_idx = int(np.searchsorted(offsets, flat, side="right") - 1)
-        words[row] = pool[ds_idx].descriptors[flat - offsets[ds_idx]]
-    return Codebook(
-        words=words,
-        source_name=source_name,
-        source_classes=tuple(source_classes),
-        seed=seed,
-    )
+    for row, (d, r) in enumerate(rows):
+        words[row] = pool[d].descriptors[r]
+    return Codebook(words, source_name, tuple(source_classes), seed)
 
 
 def save_codebook(cb: Codebook, path: str | Path) -> None:

@@ -193,9 +193,12 @@ def save_bows(bows: np.ndarray, codebook_id: str, path: str | Path) -> None:
 
 
 def load_bows(path: str | Path) -> tuple[np.ndarray, str]:
-    """Read a batch file back as ((count, k) array, codebook id)."""
+    """Read a batch file back as ((count, k) array, codebook id); a file of
+    no rows or k = 0 raises ValueError, as ``save_bows`` writes none."""
     reader = binfile.Reader(path, BOW_MAGIC, BOW_VERSION, "bag-of-words batch")
     count, k = reader.fields("<2I")
+    if count == 0 or k == 0:
+        raise ValueError(f"{path}: empty bag-of-words batch ({count} rows, k = {k})")
     codebook_id = reader.string()
     mat = reader.array("<f8", count * k).reshape(count, k)
     return mat.copy(), codebook_id

@@ -83,6 +83,8 @@ class SplitSpec:
             raise ValueError("need at least one run seed")
         if min(self.run_seeds) < 0:
             raise ValueError("run seeds must be >= 0")
+        if len(set(self.run_seeds)) != len(self.run_seeds):
+            raise ValueError(f"run seeds must be distinct, got {self.run_seeds}")
 
 
 @dataclass(frozen=True)
@@ -361,6 +363,8 @@ def _experiment(
     for n_train in n_train_values:
         svm_lambda(params.c_reg, n_train * len(target.class_labels))
     store = store if store is not None else DescriptorStore(params.grid)
+    if store.grid != params.grid:
+        raise ValueError(f"store grid {store.grid} differs from params grid {params.grid}")
     pools = [store.pool(source) for source, _ in curves]
     targets = store.pool(target)
     bows = np.empty((len(target), params.k), dtype=np.float64)

@@ -5,9 +5,10 @@ only, no numpy broadcasting) so it cannot share a code path, or a bug, with
 the library. These oracles define the reference semantics the vectorized
 implementations are checked against. The exceptions are ``hard_assign``,
 one-hot rows over a whole distance matrix, ``describe_patches_per_bin``, the
-dense-SIFT kernel's earlier one-bin-at-a-time form, and
-``train_ovr_reference``: the SVM training loop's textbook vectorized form.
-The last two are kept so the library's kernels can be checked against them
+dense-SIFT kernel's earlier one-bin-at-a-time form, ``train_ovr_reference``:
+the SVM training loop's textbook vectorized form, and
+``random_codebook_words``: the dictionary sampler's one-draw-per-step walk.
+The last three are kept so the library's kernels can be checked against them
 bit for bit.
 """
 
@@ -218,3 +219,26 @@ def train_ovr_reference(x, labels, c_reg: float = 1.0, epochs: int = 50, seed: i
                 w[violated] += step[:, np.newaxis] * xi
                 b[violated] += step
     return w, b, classes
+
+
+def random_codebook_words(pool, k: int, seed: int) -> np.ndarray:
+    """The k words of a seeded partial Fisher-Yates walk over the flattened
+    pool, one scalar draw and one image lookup per word."""
+    sizes = [len(ds) for ds in pool]
+    total = sum(sizes)
+    rng = np.random.default_rng(seed)
+    swapped: dict[int, int] = {}
+    picked = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        j = int(rng.integers(i, total))
+        vi = swapped.get(i, i)
+        vj = swapped.get(j, j)
+        swapped[i], swapped[j] = vj, vi
+        picked[i] = vj
+
+    offsets = np.cumsum([0] + sizes)
+    words = np.empty((k, 128), dtype=np.uint8)
+    for row, flat in enumerate(picked):
+        ds_idx = int(np.searchsorted(offsets, flat, side="right") - 1)
+        words[row] = pool[ds_idx].descriptors[flat - offsets[ds_idx]]
+    return words

@@ -1,0 +1,31 @@
+"""The benchmark's workloads run against this source tree and pass their own
+output checks.
+
+``bench/run.py`` drives the public ``bovw`` API in worker processes: it
+passes ``PipelineParams(workers=...)`` and a positional ``SplitSpec``, reads
+``encode_image(...).h`` and traces the names bound in ``bovw.harness``. A
+change to any of these fails here, at the benchmark's tiny size (a few
+seconds per workload). The runs write only under the ignored ``.bench_work/``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["extract-cold", "crossbase-warm", "sweep-hardavg"])
+def test_workload_runs_correctly_at_tiny_size(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "0", "--trace", "0", "--scale", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    assert result["attempted"] >= 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bovw.codebook import (
     Codebook,
@@ -12,6 +14,7 @@ from bovw.codebook import (
 )
 
 from conftest import random_descriptor_set
+from oracles import random_codebook_words
 
 
 def rows_as_set(mat: np.ndarray) -> set[bytes]:
@@ -75,6 +78,47 @@ class TestBuildRandomCodebook:
         bound = 3 * math.sqrt(n_seeds * 0.1 * 0.9)
         for i, c in counts.items():
             assert abs(c - expected) <= bound, (i, c)
+
+    # (pool as (points, seed) per image, k, seed) -> codebook_id, recorded with
+    # the one-draw-per-step sampler that tests/oracles.py keeps
+    PINNED = {
+        "k-equals-total": ([(4, 1), (3, 2)], 7, 0, "src-k7-s0-68b58b6cd5"),
+        "one-image": ([(50, 3)], 10, 42, "src-k10-s42-d263fe531e"),
+        "k1000": ([(500, 1), (500, 2), (500, 3)], 1000, 9, "src-k1000-s9-a432ab2f13"),
+        "one-point-images": ([(1, s) for s in range(5)], 1, 2**40,
+                             "src-k1-s1099511627776-95a363582d"),
+        "many-images": ([(20 + s, s) for s in range(40)], 100, 9973, "src-k100-s9973-c51d661c77"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_codebook_id_pinned(self, case):
+        images, k, seed, expected = self.PINNED[case]
+        pool = [random_descriptor_set(n, s) for n, s in images]
+        assert build_random_codebook(pool, k, seed, source_name="src").codebook_id == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+           k_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**63 - 1))
+    @example(sizes=[37], k_frac=0.5, seed=0)  # one image
+    @example(sizes=[1, 1, 1, 1, 1], k_frac=1.0, seed=3)  # one-point images, k == total
+    @example(sizes=[1], k_frac=1.0, seed=5)  # k == total == 1
+    @example(sizes=[6, 1, 9], k_frac=0.0, seed=2**40)  # k == 1
+    def test_same_words_as_scalar_walk(self, sizes, k_frac, seed):
+        pool = [random_descriptor_set(n, s) for s, n in enumerate(sizes)]
+        k = 1 + int(k_frac * (sum(sizes) - 1))
+        words = build_random_codebook(pool, k, seed).words
+        assert words.tobytes() == random_codebook_words(pool, k, seed).tobytes()
+
+    @pytest.mark.parametrize("total", [1, 7, 2**32 - 1, 2**32, 2**32 + 1, 5 * 10**9, 2**53])
+    def test_one_call_draws_the_scalar_stream(self, total):
+        """What the sampler relies on: one integers(arange(k), total) call
+        gives k scalar integers(i, total) draws and leaves the generator in
+        the same state, a one-value last range (k == total) included."""
+        k = min(total, 50)
+        one, each = np.random.default_rng(11), np.random.default_rng(11)
+        assert one.integers(np.arange(k), total).tolist() == [
+            int(each.integers(i, total)) for i in range(k)]
+        assert one.bit_generator.state == each.bit_generator.state
 
 
 class TestCodebookIO:

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bovw import binfile
 from bovw.classifier import MODEL_MAGIC, LinearModel, load_model, save_model
 from bovw.codebook import CODEBOOK_MAGIC, Codebook, load_codebook, save_codebook
-from bovw.encoding import BOW_MAGIC, load_bows, save_bows
+from bovw.encoding import BOW_MAGIC, BOW_VERSION, load_bows, save_bows
 from bovw.features import CACHE_MAGIC, GridParams, load_descriptor_cache, save_descriptor_cache
 
 from conftest import random_descriptor_set
@@ -118,6 +119,16 @@ def test_length_error_names_the_fault(fmt, tmp_path):
     path.write_bytes(data[:-1])
     with pytest.raises(ValueError, match="truncated"):
         load(path)
+
+
+@pytest.mark.parametrize("count, k", [(5, 0), (0, 3), (0, 0)])
+def test_empty_bows_file_rejected(count, k, tmp_path):
+    # a header save_bows refuses to write, with no rows or no columns after it
+    path = tmp_path / "empty.bin"
+    binfile.write(path, BOW_MAGIC, BOW_VERSION, struct.pack("<2I", count, k),
+                  binfile.pack_str("cb"))
+    with pytest.raises(ValueError, match=f"empty bag-of-words batch \\({count} rows, k = {k}\\)"):
+        load_bows(path)
 
 
 @pytest.fixture(scope="module")

@@ -330,6 +330,27 @@ class TestExperiments:
         with pytest.raises(ValueError, match="run seeds must be >= 0"):
             SplitSpec(n_train_per_class=2, run_seeds=(0, -1))
 
+    def test_repeated_run_seed_rejected(self):
+        # a repeated seed repeats a whole run, so n_runs would overstate the evidence
+        with pytest.raises(ValueError, match=r"run seeds must be distinct, got \(3, 3\)"):
+            SplitSpec(2, (3, 3))
+        with pytest.raises(ValueError, match="distinct"):
+            SplitSpec(n_train_per_class=2, run_seeds=(0, 1, 0))
+
+    @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
+    def test_store_grid_must_match_params(self, micro_corpus, micro_params, tmp_path,
+                                          experiment):
+        cache = tmp_path / "cache"
+        store = DescriptorStore(GridParams(stride=6), cache_dir=cache)
+        params = replace(micro_params, grid=GridParams(stride=12))
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+        with pytest.raises(ValueError, match="store grid .* differs from params grid"):
+            if experiment == "crossbase":
+                cross_base_experiment(micro_corpus, micro_corpus, [2], spec, params, store=store)
+            else:
+                diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, params, store=store)
+        assert list(cache.iterdir()) == []  # nothing extracted
+
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
                                                             micro_params):
         spec = SplitSpec(n_train_per_class=3, run_seeds=(0, 1))
@@ -744,6 +765,18 @@ class TestCli:
         pytest.param("crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs 2 "
                      "--cache-dir {t}/cache --out {t}/res.csv --workers 2",
                      "unrecognized arguments: --workers 2", id="crossbase-workers"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 0,2 --k 12 --runs 2 "
+                     "--cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --ntrain: expected positive integers, got '0,2'",
+                     id="crossbase-ntrain-zero"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 3,-1 --k 12 --runs 2 "
+                     "--cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --ntrain: expected positive integers, got '3,-1'",
+                     id="crossbase-ntrain-negative"),
+        pytest.param("sweep --source {m} --target {m} --class-counts 1,3 --ntrain 0 --k 12 "
+                     "--runs 2 --cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --ntrain: expected a positive integer, got '0'",
+                     id="sweep-ntrain-zero"),
     ])
     def test_usage_error_writes_nothing(self, tmp_path, micro_corpus, micro_bows, argv, message):
         manifest = micro_corpus.base_dir / "micro.manifest"
