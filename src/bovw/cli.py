@@ -106,6 +106,7 @@ def cmd_codebook(args) -> int:
             manifest, args.classes, args.seed + harness.CLASS_SEED_OFFSET
         )
         print(f"classes: {','.join(manifest.class_labels)}")
+    harness.check_dictionary_source(manifest, _grid(args), args.k)
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
     cb = codebook.build_random_codebook(
         store.pool(manifest),

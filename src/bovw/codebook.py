@@ -56,6 +56,12 @@ class Codebook:
         return f"{self.source_name}-k{self.k}-s{self.seed}-{digest}"
 
 
+def check_pool_size(total: int, k: int) -> None:
+    """Raise ValueError unless a pool of ``total`` descriptors holds k words."""
+    if total < k:
+        raise ValueError(f"pool has {total} descriptors, need at least {k}")
+
+
 def build_random_codebook(
     pool: Sequence[DescriptorSet],
     k: int,
@@ -73,8 +79,7 @@ def build_random_codebook(
         raise ValueError("k must be >= 1")
     sizes = [len(ds) for ds in pool]
     total = sum(sizes)
-    if total < k:
-        raise ValueError(f"pool has {total} descriptors, need at least {k}")
+    check_pool_size(total, k)
 
     draws = np.random.default_rng(seed).integers(np.arange(k), total).tolist()
     swapped: dict[int, int] = {}

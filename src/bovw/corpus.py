@@ -14,6 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 PGM_MAXVAL = 255
+# bytes image_size reads first: a header without long comments fits
+_HEADER_PEEK = 256
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,42 @@ def load_image(path: str | Path) -> Image:
     """Read a binary (P5) PGM file with maxval 255."""
     path = Path(path)
     data = path.read_bytes()
+    width, height, offset = _pgm_header(data, path)
+    payload = data[offset:]
+    expected = width * height
+    if len(payload) < expected:
+        raise ValueError(
+            f"{path}: truncated payload ({len(payload)} bytes, expected {expected})"
+        )
+    if len(payload) > expected:
+        raise ValueError(f"{path}: trailing bytes after {expected}-byte payload")
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    return Image(pixels=pixels.copy())
+
+
+def image_size(path: str | Path) -> tuple[int, int]:
+    """(width, height) of a binary PGM file, from its header alone.
+
+    Reads the first ``_HEADER_PEEK`` bytes, and the whole file only when
+    they do not hold the header (long comments). Raises the ValueError
+    ``load_image`` raises for a bad header; the payload is not checked.
+    """
+    path = Path(path)
+    with path.open("rb") as fh:
+        head = fh.read(_HEADER_PEEK)
+        try:
+            width, height, offset = _pgm_header(head, path)
+            if offset <= len(head):
+                return width, height
+        except ValueError:
+            pass
+        data = head + fh.read()
+    width, height, _ = _pgm_header(data, path)
+    return width, height
+
+
+def _pgm_header(data: bytes, path: Path) -> tuple[int, int, int]:
+    """(width, height, payload offset) from the bytes a P5 file starts with."""
     magic, pos = _next_token(data, 0, path)
     if magic != b"P5":
         raise ValueError(f"{path}: unsupported format (expected P5, got {magic!r})")
@@ -128,16 +166,7 @@ def load_image(path: str | Path) -> Image:
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid dimensions {width}x{height}")
     # exactly one whitespace byte separates the header from the payload
-    payload = data[pos + 1 :]
-    expected = width * height
-    if len(payload) < expected:
-        raise ValueError(
-            f"{path}: truncated payload ({len(payload)} bytes, expected {expected})"
-        )
-    if len(payload) > expected:
-        raise ValueError(f"{path}: trailing bytes after {expected}-byte payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Image(pixels=pixels.copy())
+    return width, height, pos + 1
 
 
 def save_image(image: Image, path: str | Path) -> None:

@@ -6,13 +6,15 @@ regular grid, then byte-quantized to 0..255. No orientation assignment and
 no scale pyramid: one patch size, grid stride in pixels.
 
 An image's patches are described in blocks of ``BLOCK_PATCHES``, each block
-by one orientation scatter and one matrix product, so extraction works in
+by table lookups of every pixel's gradient magnitude and orientation bins,
+one orientation scatter and one matrix product, so extraction works in
 bounded memory whatever the image size. The bytes are those of describing
-all patches at once, one orientation bin at a time.
+all patches at once, one orientation bin at a time, from float gradients.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -31,6 +33,8 @@ CLAMP_THRESHOLD = 0.2
 BYTE_SCALE = 512.0
 # patches per _describe_patches call: about 12 MiB of work arrays at S=16
 BLOCK_PATCHES = 256
+# largest |difference| of two 8-bit pixels
+MAX_DIFF = 255
 
 CACHE_MAGIC = b"BVWD"
 CACHE_VERSION = 1
@@ -95,7 +99,7 @@ def extract_dense_sift(image: Image, params: GridParams, source: str = "") -> De
     """One descriptor per dense-grid keypoint, in grid order.
 
     Patches go through ``_describe_patches`` in blocks of ``BLOCK_PATCHES``,
-    so the float64 working set is bounded whatever the image size.
+    so the working set is bounded whatever the image size.
     """
     keypoints = dense_grid(image.width, image.height, params)
     s = params.patch_size
@@ -105,13 +109,43 @@ def extract_dense_sift(image: Image, params: GridParams, source: str = "") -> De
     descriptors = np.empty((n, DESCRIPTOR_DIMS), dtype=np.uint8)
     for start in range(0, n, BLOCK_PATCHES):
         r, c = np.divmod(np.arange(start, min(start + BLOCK_PATCHES, n)), cols)
-        block = windows[r, c].astype(np.float64)
-        descriptors[start : start + len(block)] = _describe_patches(block)
+        descriptors[start : start + len(r)] = _describe_patches(windows[r, c])
     return DescriptorSet(keypoints=keypoints, descriptors=descriptors, source_image=source)
 
 
+@functools.cache
+def gradient_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pixel's gradient magnitude, first orientation bin and bin fraction
+    for every pair of pixel differences (dx, dy) in [-255, 255]^2.
+
+    Returns read-only flat arrays ``(mag, o0, fo)``: ``mag`` (float64) at
+    ``|dx|*256 + |dy|``, ``o0`` (uint8) and ``fo`` (float64) at
+    ``(dy + 255)*511 + dx + 255``. Gradients are half differences, so
+    ``gx = dx / 2`` exactly, and the values are those of the numpy calls the
+    per-bin float form (``tests/oracles.py``) makes per pixel on
+    ``(gx, gy)``. ``hypot`` depends on the magnitudes alone, which folds its
+    table onto (|dx|, |dy|). Built once per process on first use (about
+    5 ms, 3 MiB); build it before starting threads that extract, so that no
+    two threads build it.
+    """
+    half = np.arange(MAX_DIFF + 1) / 2.0
+    mag = np.hypot(half[:, np.newaxis], half[np.newaxis, :])
+    g = np.arange(-MAX_DIFF, MAX_DIFF + 1) / 2.0
+    theta = np.arctan2(g[:, np.newaxis], g[np.newaxis, :])
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
+    ob = np.divide(theta, 2.0 * np.pi / N_ORIENT_BINS, out=theta)
+    floor_ob = np.floor(ob)
+    o0 = (floor_ob.astype(np.intp) & (N_ORIENT_BINS - 1)).astype(np.uint8)
+    fo = np.subtract(ob, floor_ob, out=ob)
+    tables = (mag.reshape(-1), o0.reshape(-1), fo.reshape(-1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _describe_patches(patches: np.ndarray) -> np.ndarray:
-    """Vectorized descriptor computation for a (N, S, S) float patch stack.
+    """Vectorized descriptor computation for a (N, S, S) stack of patches of
+    8-bit pixel values (uint8, or any dtype holding such integers).
 
     Pipeline per patch: central-difference gradients with replicated borders
     (the patch is self-contained; pixels outside it are never read), Gaussian
@@ -119,6 +153,14 @@ def _describe_patches(patches: np.ndarray) -> np.ndarray:
     soft-binning into 4x4 cells x 8 orientation bins, L2 normalization, 0.2
     clamp, renormalization and x512 byte quantization. A constant-intensity
     patch (zero histogram norm) yields the all-zero descriptor.
+
+    Every pixel difference is an integer in [-255, 255], so each pixel's
+    magnitude, first bin and bin fraction are gathered from
+    ``gradient_tables``, whose entries are the per-bin float form's
+    per-pixel values: the half difference is exact, and a zero difference
+    gives +0.0 in both (a float stack holding -0.0 can give that form -0.0
+    gradients, whose angles differ only where the magnitude, hence the
+    mass, is zero).
 
     Each pixel's two orientation masses are scattered into one zeroed
     (N, 8, S*S) array and pooled into cells by one (N*8, S*S) @ (S*S, 16)
@@ -133,11 +175,21 @@ def _describe_patches(patches: np.ndarray) -> np.ndarray:
     cs = s // N_SPATIAL_CELLS
     npix = s * s
 
-    padded = np.pad(patches, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    gx = (padded[:, 1:-1, 2:] - padded[:, 1:-1, :-2]) / 2.0
-    gy = (padded[:, 2:, 1:-1] - padded[:, :-2, 1:-1]) / 2.0
-    mag = np.hypot(gx, gy)
-    theta = np.arctan2(gy, gx)
+    # differences along the flat pixel order; the patch's edge columns and
+    # rows are then redone one-sided, which is edge replication
+    q = patches.astype(np.int32).reshape(-1)
+    dx, dy = np.empty_like(q), np.empty_like(q)
+    np.subtract(q[2:], q[:-2], out=dx[1:-1])
+    np.subtract(q[2 * s :], q[: -2 * s], out=dy[s:-s])
+    p, dx, dy = q.reshape(n, s, s), dx.reshape(n, s, s), dy.reshape(n, s, s)
+    np.subtract(p[:, :, 1], p[:, :, 0], out=dx[:, :, 0])
+    np.subtract(p[:, :, -1], p[:, :, -2], out=dx[:, :, -1])
+    np.subtract(p[:, 1], p[:, 0], out=dy[:, 0])
+    np.subtract(p[:, -1], p[:, -2], out=dy[:, -1])
+
+    mag_table, o0_table, fo_table = gradient_tables()
+    mag = mag_table.take(np.abs(dx) * (MAX_DIFF + 1) + np.abs(dy))
+    pair = (dy + MAX_DIFF) * (2 * MAX_DIFF + 1) + (dx + MAX_DIFF)
 
     center = (s - 1) / 2.0
     sigma_w = s / 2.0
@@ -147,13 +199,9 @@ def _describe_patches(patches: np.ndarray) -> np.ndarray:
 
     # orientation soft-binning: each pixel splits its mass between the two
     # adjacent bins on the 8-bin circle
-    bin_width = 2.0 * np.pi / N_ORIENT_BINS
-    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
-    ob = (theta / bin_width).reshape(n, npix)
-    floor_ob = np.floor(ob)
-    o0 = floor_ob.astype(np.intp) & (N_ORIENT_BINS - 1)
+    o0 = o0_table.take(pair).reshape(n, npix).astype(np.intp)
     o1 = (o0 + 1) & (N_ORIENT_BINS - 1)
-    fo = ob - floor_ob
+    fo = fo_table.take(pair).reshape(n, npix)
 
     # per-pixel mass by orientation bin, at flat index (patch*8 + bin)*S*S + pixel
     by_bin = np.zeros((n, N_ORIENT_BINS, npix), dtype=np.float64)

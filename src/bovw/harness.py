@@ -16,6 +16,7 @@ import ctypes
 import functools
 import logging
 import os
+import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
@@ -23,14 +24,16 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .classifier import TrainConfig, accuracy, svm_lambda, train_ovr
-from .codebook import Codebook, build_random_codebook
-from .corpus import DatasetManifest, ManifestEntry, load_image, select_classes
+from .codebook import Codebook, build_random_codebook, check_pool_size
+from .corpus import DatasetManifest, ManifestEntry, image_size, load_image, select_classes
 from .encoding import EncodingParams, chunk_rows, encode_image
 from .features import (
     DescriptorSet,
     GridParams,
     cache_path,
+    dense_grid,
     extract_dense_sift,
+    gradient_tables,
     load_descriptor_cache,
     save_descriptor_cache,
 )
@@ -163,11 +166,19 @@ class DescriptorStore:
         """Descriptor sets for every entry, in manifest order.
 
         Images with neither a memory entry nor a readable cache file are
-        extracted first, on image threads (``_on_image_threads``); the sets
-        are the bytes serial ``get`` calls give."""
+        extracted first, on image threads (``_on_image_threads``), after the
+        extraction kernel's tables are built in this thread; the sets are the
+        bytes serial ``get`` calls give. Logs one INFO line: images taken
+        from memory, from the cache and extracted, and extraction seconds."""
+        in_memory = sum(manifest.resolve(e) in self._memory for e in manifest.entries)
         misses = [e for e in manifest.entries if self._stored(manifest, e) is None]
-        if len(misses) > 1:
+        started = time.perf_counter()
+        if misses:
+            gradient_tables()  # here, so that no two image threads build them
             _on_image_threads(lambda e: self._extract(manifest, e), misses)
+        logger.info("pool %s: %d from memory, %d from cache, %d extracted in %.3f s",
+                    manifest.name, in_memory, len(manifest) - in_memory - len(misses),
+                    len(misses), time.perf_counter() - started)
         return [self.get(manifest, e) for e in manifest.entries]
 
     def _stored(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet | None:
@@ -197,6 +208,14 @@ class DescriptorStore:
             save_descriptor_cache(cache_path(self.cache_dir, path, self.grid), ds, self.grid)
         self._memory[path] = ds
         return ds
+
+
+def check_dictionary_source(manifest: DatasetManifest, grid: GridParams, k: int) -> None:
+    """Raise ``build_random_codebook``'s ValueError if the images of
+    ``manifest`` hold fewer than k grid points; the counts come from their
+    PGM headers, so a too-large k fails before any extraction."""
+    check_pool_size(sum(len(dense_grid(*image_size(manifest.resolve(e)), grid))
+                        for e in manifest.entries), k)
 
 
 def split_balanced(
@@ -358,13 +377,16 @@ def _experiment(
     dict_classes) pair. Extracts only the sources and the target, all before
     the first trial, so an unreadable image fails first. Each run seed's
     dictionary refills one encoding of ``target``, classified at every n_train."""
-    # a too-large n_train, or one whose SVM lambda is 0 or inf, fails before extraction
+    # a too-large n_train or k, or an n_train whose SVM lambda is 0 or inf,
+    # fails before extraction
     split_balanced(target, max(n_train_values), 0)
     for n_train in n_train_values:
         svm_lambda(params.c_reg, n_train * len(target.class_labels))
     store = store if store is not None else DescriptorStore(params.grid)
     if store.grid != params.grid:
         raise ValueError(f"store grid {store.grid} differs from params grid {params.grid}")
+    for source, _ in curves:
+        check_dictionary_source(source, params.grid, params.k)
     pools = [store.pool(source) for source, _ in curves]
     targets = store.pool(target)
     bows = np.empty((len(target), params.k), dtype=np.float64)

@@ -7,6 +7,7 @@ from bovw.corpus import (
     DatasetManifest,
     Image,
     ManifestEntry,
+    image_size,
     load_image,
     load_manifest,
     save_image,
@@ -107,6 +108,37 @@ class TestPgm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes(4))
         assert load_image(path).width == 2
+
+
+class TestImageSize:
+    def test_header_across_the_first_read(self, tmp_path):
+        # comments push every header token across the bytes read first
+        path = tmp_path / "c.pgm"
+        for pad in range(230, 270):
+            path.write_bytes(b"P5\n#" + b"x" * pad + b"\n300 2\n255\n" + bytes(600))
+            assert image_size(path) == (300, 2)
+            assert load_image(path).width == 300
+        path.write_bytes(b"P5\n#" + b"x" * 5000 + b"\n3 2\n255\n" + bytes(6))
+        assert image_size(path) == (3, 2)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P6\n2 2\n255\n" + bytes(12), "unsupported format"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "unsupported maxval"),
+        (b"P5\n2 x2\n255\n" + bytes(4), "malformed header token"),
+        (b"P5\n0 2\n255\n", "invalid dimensions"),
+        (b"P5\n2 2", "truncated header"),
+    ])
+    def test_bad_header_raises_as_load_image_does(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        for read in (image_size, load_image):
+            with pytest.raises(ValueError, match=message):
+                read(path)
+
+    def test_payload_is_not_read(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n64 48\n255\n" + bytes(5))
+        assert image_size(path) == (64, 48)
 
 
 def manifest_with_classes(n_classes: int, per_class: int = 2) -> DatasetManifest:

@@ -230,6 +230,36 @@ class TestBlockedKernel:
                               self.per_bin(pixels, params))
 
 
+class TestGradientTables:
+    def test_every_difference_pair_gives_the_oracle_bytes(self):
+        # every (dx, dy) in [-255, 255]^2 at one of 16 pixels of a 12x12
+        # patch, 3 apart, so that no two share a neighbour: pixel (r, c)
+        # takes dx across its row neighbours and dy across its column ones
+        d = np.arange(-255, 256)
+        dx, dy = (np.resize(a.ravel(), (-(-a.size // 16), 16)) for a in np.meshgrid(d, d))
+        centers = [(r, c) for r in (1, 4, 7, 10) for c in (1, 4, 7, 10)]
+        pixels = np.zeros((len(dx), 12, 12), np.int64)
+        for i, (r, c) in enumerate(centers):
+            pixels[:, r, c - 1] = np.maximum(-dx[:, i], 0)
+            pixels[:, r, c + 1] = pixels[:, r, c - 1] + dx[:, i]
+            pixels[:, r - 1, c] = np.maximum(-dy[:, i], 0)
+            pixels[:, r + 1, c] = pixels[:, r - 1, c] + dy[:, i]
+        seen = [(pixels[:, r, c + 1] - pixels[:, r, c - 1]) * 511
+                + pixels[:, r + 1, c] - pixels[:, r - 1, c] for r, c in centers]
+        assert np.unique(seen).size == 511 * 511
+        patches = pixels.astype(np.uint8)
+        assert np.array_equal(patches, pixels)
+        for start in range(0, len(patches), 2048):
+            block = patches[start : start + 2048]
+            assert np.array_equal(features._describe_patches(block),
+                                  describe_patches_per_bin(block))
+
+    def test_tables_are_read_only(self):
+        for table in features.gradient_tables():
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
 class TestDescriptorCache:
     def test_round_trip(self, tmp_path):
         params = GridParams()

@@ -1,5 +1,6 @@
 import ast
 import functools
+import logging
 import re
 import shlex
 import sys
@@ -21,7 +22,13 @@ from bovw.corpus import (
     select_classes,
 )
 from bovw.encoding import EncodingParams, chunk_rows, encode_image, save_bows
-from bovw.features import GridParams, cache_path, extract_dense_sift, load_descriptor_cache
+from bovw.features import (
+    GridParams,
+    cache_path,
+    extract_dense_sift,
+    gradient_tables,
+    load_descriptor_cache,
+)
 import bovw.harness
 from bovw.harness import (
     CLASS_SEED_OFFSET,
@@ -552,6 +559,46 @@ class TestPool:
         DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
         assert [thread for thread, _ in extractions] == [threading.get_ident()]
 
+    def test_tables_are_built_once_before_image_threads(self, micro_corpus, monkeypatch):
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
+        real, built = bovw.harness.extract_dense_sift, []
+
+        def traced(*args, **kwargs):
+            built.append(gradient_tables.cache_info().currsize)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bovw.harness, "extract_dense_sift", traced)
+        gradient_tables.cache_clear()
+        DescriptorStore(GridParams()).pool(micro_corpus)
+        assert built == [1] * len(micro_corpus)
+        assert gradient_tables.cache_info().misses == 1
+
+    def test_warm_pool_and_encoding_build_no_tables(self, micro_corpus, tmp_path):
+        grid = GridParams()
+        DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
+        gradient_tables.cache_clear()
+        sets = DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
+        cb = build_random_codebook(sets, 12, seed=0)
+        encode_rows(np.empty((len(sets), cb.k)), sets, cb, EncodingParams())
+        assert gradient_tables.cache_info().currsize == 0
+
+    def test_logs_where_each_pool_came_from(self, micro_corpus, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="bovw.harness")
+        grid, entries = GridParams(), micro_corpus.entries
+        DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
+        cache_path(tmp_path, micro_corpus.resolve(entries[5]), grid).unlink()
+        store = DescriptorStore(grid, cache_dir=tmp_path)
+        store.get(micro_corpus, entries[2])
+        store.get(micro_corpus, entries[7])
+        store.pool(micro_corpus)
+        store.pool(micro_corpus)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pool ")]
+        counts = [re.fullmatch(r"pool micro: (\d+) from memory, (\d+) from cache, "
+                               r"(\d+) extracted in \d+\.\d{3} s", line).groups()
+                  for line in lines]
+        n = len(micro_corpus)
+        assert counts == [("0", "0", str(n)), ("2", str(n - 3), "1"), (str(n), "0", "0")]
+
 
 class TestSummaryCsv:
     def _row(self):
@@ -738,6 +785,30 @@ class TestCli:
         assert message in out.stderr
         assert list(cache.glob("*")) == []
         assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("argv, points", [
+        ("crossbase --source {m} --target {m} --ntrain 3 --runs 2 --out {t}/res.csv", 24 * 36),
+        ("crossbase --source {m} --target {m} --ntrain 3 --runs 2 --out {t}/res.csv "
+         "--stride 12", 24 * 9),
+        ("sweep --source {m} --target {m} --class-counts 1,3 --ntrain 3 --runs 2 "
+         "--out {t}/res.csv", 8 * 36),
+        ("codebook --manifest {m} --out {t}/cb.bin", 24 * 36),
+    ], ids=["crossbase", "crossbase-stride", "sweep", "codebook"])
+    def test_too_large_k_fails_before_any_extraction(self, tmp_path, micro_corpus, argv,
+                                                     points):
+        # 48x48 images hold 6x6 patches of 16 pixels at stride 6, 3x3 at stride 12;
+        # the sweep's smallest dictionary source is one class of 8 images
+        manifest = micro_corpus.base_dir / "micro.manifest"
+        cache = tmp_path / "cache"
+        argv = [a.format(m=manifest, t=tmp_path) for a in argv.split()]
+        assert run_cli(*argv, "--k", str(points), "--cache-dir", str(cache)).returncode == 0
+        for path in cache.iterdir():
+            path.unlink()
+        out = run_cli(*argv, "--k", str(points + 1), "--cache-dir", str(cache))
+        assert out.returncode == 2
+        assert out.stderr == (f"bovw {argv[0]}: error: pool has {points} descriptors, "
+                              f"need at least {points + 1}\n")
+        assert list(cache.glob("*")) == []
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
