@@ -18,6 +18,15 @@ fresh arrays per chunk: per image at k=1000 on 2 vCPUs (dense SIFT of a
 256 x 256 synthetic texture, 1,681 points), soft/max 23-27 -> 15-17 ms and
 hard/average 16-18 -> 5.3 ms.
 
+The float32 words times -2 and their squared norms are fixed per
+dictionary, so ``word_plan`` builds them once and every ``encode_image``
+call with that codebook reuses them (``bovw.harness.encode_rows`` builds one
+per call, so once per dictionary, shared by its image threads). Rebuilding
+them took a large share of a small image's call: per dictionary at k=1000,
+hard/average on 160 images of 81 points, ``encode_rows`` took 65-70 ms
+with a build per image and 42-47 ms with one plan (2 vCPUs; medians of two
+runs over 35 dictionaries each).
+
 Points stream through in chunks, so working memory is bounded by chunk x k
 whatever an image's point count. Only soft average pooling depends on the
 chunk size: it sums each chunk's rows, then the chunk sums, so the chunk
@@ -125,7 +134,28 @@ def chunk_rows(params: EncodingParams) -> int:
     return _EXACT_CHUNK
 
 
-def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> BowVector:
+@dataclass(frozen=True, eq=False)
+class WordPlan:
+    """A codebook's float32 terms of ``w^2 - 2 p.w``: the words times -2 and
+    their squared norms, read-only so that image threads can share them.
+    ``word_plan`` builds one per dictionary."""
+
+    codebook: Codebook
+    neg2w: np.ndarray  # (k, dims) float32
+    w_sq: np.ndarray  # (k,) float32
+
+
+def word_plan(cb: Codebook) -> WordPlan:
+    """The ``WordPlan`` of ``cb``, for every ``encode_image`` call with it."""
+    neg2w = cb.words.astype(np.float32)
+    w_sq = np.einsum("kc,kc->k", neg2w, neg2w)
+    neg2w *= -2.0
+    neg2w.flags.writeable = w_sq.flags.writeable = False
+    return WordPlan(cb, neg2w, w_sq)
+
+
+def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
+                 plan: WordPlan | None = None) -> BowVector:
     """Assign every grid point to the codebook and pool into one k-vector.
 
     Streams points in bounded chunks through buffers allocated once per call,
@@ -135,13 +165,18 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams) -> Bow
     rows are pooled per chunk; hard assignment keeps only each point's
     nearest word (the lowest index on a tie) and pools the word counts at
     the end.
+
+    ``plan`` is ``word_plan(cb)``, built here when None; a plan built from
+    another codebook raises ValueError.
     """
     if ds.descriptors.shape[1] != cb.words.shape[1]:
         raise ValueError("descriptor dims do not match codebook dims")
+    if plan is None:
+        plan = word_plan(cb)
+    elif plan.codebook is not cb:
+        raise ValueError("word plan was built from another codebook")
     n, k = len(ds), cb.k
-    neg2w = cb.words.astype(np.float32)
-    w_sq = np.einsum("kc,kc->k", neg2w, neg2w)
-    neg2w *= -2.0
+    neg2w, w_sq = plan.neg2w, plan.w_sq
     chunk = chunk_rows(params)
     m = min(n, chunk)
     pts = np.empty((m, neg2w.shape[1]), dtype=np.float32)

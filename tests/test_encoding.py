@@ -16,6 +16,7 @@ from bovw.encoding import (
     load_bows,
     save_bows,
     soft_assign,
+    word_plan,
 )
 from bovw.features import DESCRIPTOR_DIMS, DescriptorSet
 
@@ -386,6 +387,27 @@ class TestExactKernel:
                 ds = DescriptorSet(np.zeros((len(pts), 2), np.int32), pts, "im")
                 want = pooled_reference(exact_d2(pts, cb.words), assignment, pooling, 60.0, False)
                 assert np.array_equal(encode_image(ds, cb, params).h, want)
+
+    @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "average"),
+                                                    ("soft", "average"), ("hard", "max")])
+    def test_one_plan_serves_every_image(self, cases, assignment, pooling):
+        cb = make_codebook(self.WORDS)
+        plan = word_plan(cb)
+        params = EncodingParams(assignment=assignment, pooling=pooling)
+        for n, (pts, _) in cases.items():
+            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            assert np.array_equal(encode_image(ds, cb, params, plan).h,
+                                  encode_image(ds, cb, params).h), n
+        # image threads share the plan, so nothing may write it
+        assert not plan.neg2w.flags.writeable and not plan.w_sq.flags.writeable
+
+    def test_plan_of_another_codebook_rejected(self, cases):
+        plan = word_plan(make_codebook(self.WORDS))
+        ds = DescriptorSet(np.zeros((1, 2), np.int32), cases[1][0], "im")
+        # equal words in another Codebook object are another codebook too
+        for cb in (make_codebook(extreme_bytes(7, 21)), make_codebook(self.WORDS)):
+            with pytest.raises(ValueError, match="another codebook"):
+                encode_image(ds, cb, EncodingParams(), plan)
 
 
 class TestChunkSize:

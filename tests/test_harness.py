@@ -3,6 +3,7 @@ import functools
 import logging
 import re
 import shlex
+import shutil
 import sys
 import threading
 from dataclasses import replace
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from bovw.codebook import Codebook, build_random_codebook
 from bovw.corpus import (
     DatasetManifest,
+    Image,
     ManifestEntry,
     load_image,
     load_manifest,
+    save_image,
     select_classes,
 )
 from bovw.encoding import EncodingParams, chunk_rows, encode_image, save_bows
@@ -237,6 +240,31 @@ class TestEncodeRows:
         else:
             assert {thread for thread, _ in calls} == {main}
 
+    @pytest.mark.parametrize("points", [81, 600])
+    def test_one_word_plan_per_call_shared_by_every_image(self, cb, calls, monkeypatch,
+                                                          points):
+        # bench/tracing.py wraps the encode_image bound in bovw.harness and reads
+        # the DescriptorSet and the Codebook as its positional arguments 0 and 1
+        real_plan, real_encode, plans, args_seen = (bovw.harness.word_plan,
+                                                    bovw.harness.encode_image, [], [])
+
+        def counted_plan(c):
+            plans.append(real_plan(c))
+            return plans[-1]
+
+        def recorded(*args, **kwargs):
+            args_seen.append((args, kwargs))
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(bovw.harness, "word_plan", counted_plan)
+        monkeypatch.setattr(bovw.harness, "encode_image", recorded)
+        sets = [random_descriptor_set(points + i, seed=i) for i in range(5)]
+        encode_rows(np.empty((len(sets), cb.k)), sets, cb, EncodingParams())
+        assert len(plans) == 1 and len(calls) == len(sets)
+        assert sorted(id(args[0]) for args, _ in args_seen) == sorted(map(id, sets))
+        assert all(args[1] is cb and args[3] is plans[0] and not kwargs
+                   for args, kwargs in args_seen)
+
     def test_blas_threads_restored_after_success_and_error(self, cb, calls, monkeypatch):
         blas = bovw.harness._openblas_threads()
         if blas is None:
@@ -356,7 +384,7 @@ class TestExperiments:
                 cross_base_experiment(micro_corpus, micro_corpus, [2], spec, params, store=store)
             else:
                 diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, params, store=store)
-        assert list(cache.iterdir()) == []  # nothing extracted
+        assert not cache.exists()  # nothing extracted
 
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
                                                             micro_params):
@@ -558,6 +586,23 @@ class TestPool:
         cache_path(tmp_path, micro_corpus.resolve(micro_corpus.entries[5]), grid).unlink()
         DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
         assert [thread for thread, _ in extractions] == [threading.get_ident()]
+
+    def test_round_trip_into_a_cache_dir_made_at_the_first_save(self, micro_corpus, tmp_path,
+                                                                monkeypatch):
+        grid, cache = GridParams(), tmp_path / "new" / "cache"
+        store = DescriptorStore(grid, cache_dir=cache)
+        assert not cache.exists()
+        want = store.pool(micro_corpus)
+        assert len(list(cache.glob("*.desc"))) == len(micro_corpus)
+
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("a cached image was extracted again")
+
+        monkeypatch.setattr(bovw.harness, "extract_dense_sift", no_extraction)
+        got = DescriptorStore(grid, cache_dir=cache).pool(micro_corpus)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.keypoints, b.keypoints)
+            assert np.array_equal(a.descriptors, b.descriptors)
 
     def test_tables_are_built_once_before_image_threads(self, micro_corpus, monkeypatch):
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
@@ -783,7 +828,7 @@ class TestCli:
         assert out.returncode != 0
         assert out.stderr.startswith(f"bovw {argv[0]}: error: ") and out.stderr.count("\n") == 1
         assert message in out.stderr
-        assert list(cache.glob("*")) == []
+        assert not cache.exists()
         assert not (tmp_path / "res.csv").exists()
 
     @pytest.mark.parametrize("argv, points", [
@@ -802,13 +847,32 @@ class TestCli:
         cache = tmp_path / "cache"
         argv = [a.format(m=manifest, t=tmp_path) for a in argv.split()]
         assert run_cli(*argv, "--k", str(points), "--cache-dir", str(cache)).returncode == 0
-        for path in cache.iterdir():
-            path.unlink()
+        shutil.rmtree(cache)
         out = run_cli(*argv, "--k", str(points + 1), "--cache-dir", str(cache))
         assert out.returncode == 2
         assert out.stderr == (f"bovw {argv[0]}: error: pool has {points} descriptors, "
                               f"need at least {points + 1}\n")
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("command", ["crossbase --ntrain 1 --no-native",
+                                         "sweep --class-counts 1,3 --ntrain 1"],
+                             ids=["crossbase", "sweep"])
+    def test_small_target_image_fails_before_any_extraction(self, tmp_path, micro_corpus,
+                                                            command):
+        tiny = tmp_path / "tiny.pgm"
+        save_image(Image(pixels=np.zeros((8, 8), np.uint8)), tiny)
+        target = tmp_path / "target.manifest"
+        target.write_text("".join(f"{micro_corpus.resolve(e)}\t{e.label}\n"
+                                  for e in micro_corpus.entries) + f"{tiny}\tblocks\n")
+        cache, source = tmp_path / "cache", micro_corpus.base_dir / "micro.manifest"
+        out = run_cli(*command.split(), "--source", str(source), "--target", str(target),
+                      "--k", "20", "--runs", "2",
+                      "--cache-dir", str(cache), "--out", str(tmp_path / "res.csv"))
+        assert out.returncode == 2
+        assert out.stderr == (f"bovw {command.split()[0]}: error: {tiny}: "
+                              "image 8x8 smaller than one 16-pixel patch\n")
         assert list(cache.glob("*")) == []
+        assert not (tmp_path / "res.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
