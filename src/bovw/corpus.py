@@ -82,8 +82,8 @@ class DatasetManifest:
         return len(self.entries)
 
 
-def load_manifest(path: str | Path, name: str | None = None) -> DatasetManifest:
-    """Parse a ``path<TAB>label`` manifest file.
+def load_manifest(path: str | Path) -> DatasetManifest:
+    """Parse a ``path<TAB>label`` manifest file, named by its file stem.
 
     ``#`` comment lines and blank lines are ignored. Raises ValueError with
     the offending line number on malformed input.
@@ -102,11 +102,7 @@ def load_manifest(path: str | Path, name: str | None = None) -> DatasetManifest:
         entries.append(ManifestEntry(parts[0], parts[1]))
     if not entries:
         raise ValueError(f"manifest is empty: {path}")
-    return DatasetManifest(
-        name=name if name is not None else path.stem,
-        entries=tuple(entries),
-        base_dir=path.parent,
-    )
+    return DatasetManifest(name=path.stem, entries=tuple(entries), base_dir=path.parent)
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

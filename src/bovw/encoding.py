@@ -27,18 +27,18 @@ hard/average on 160 images of 81 points, ``encode_rows`` took 65-70 ms
 with a build per image and 42-47 ms with one plan (2 vCPUs; medians of two
 runs over 35 dictionaries each).
 
-Points stream through in chunks, so working memory is bounded by chunk x k
-whatever an image's point count. Only soft average pooling depends on the
-chunk size: it sums each chunk's rows, then the chunk sums, so the chunk
-size sets the last bits of its encodings, and it streams _CHUNK = 512 rows.
-Every other mode is exact at any chunk size: each row's distances, minimum,
-weights and row sum are computed within that row, and what crosses rows is
-an exact maximum or an integer count of nearest words. Those modes stream
-_EXACT_CHUNK = 192 rows, so two images encoded on parallel threads
-(``bovw.harness.encode_rows``) hold fewer buffer rows than one image held
-at 512. On 2 vCPUs, crossbase-warm's peak RSS read 50.8 MiB with 256-row
-chunks, 49.3 with 192 and 49.5 with the serial 512-row loop; 192 rows
-encoded as fast as 256, and 128 rows ~8% slower.
+Points stream through in chunks of CHUNK_ROWS = 192 rows, so working
+memory is bounded by chunk x k, and every mode gives the same bits at any
+chunk size. Each row's weights are computed within that row; what crosses
+rows is an exact maximum, an integer count, or soft average's running sum
+in point order (the accumulator is added into a chunk's first row, then the
+chunk is summed over its rows into it). numpy sums pairwise only along the
+fast axis, so a C-contiguous (b, k) chunk with k >= 2 is summed row by row;
+at k = 1 every soft row is 1.0, so any order gives the same integer. At
+1,681 points and k=1000, soft average's numpy peak per call fell from 6.18
+MiB (512-row chunks) to 2.36 MiB. On 2 vCPUs, crossbase-warm's peak RSS
+read 50.8 MiB with 256-row chunks, 49.3 with 192 and 49.5 with a serial
+512-row loop; 192 rows encoded as fast as 256, and 128 rows ~8% slower.
 """
 
 from __future__ import annotations
@@ -59,11 +59,8 @@ from .features import DescriptorSet
 BOW_MAGIC = b"BVWB"
 BOW_VERSION = 1
 
-# points per streamed chunk (see the module docstring): soft average pooling's
-# chunk sums set its last bits, so it keeps _CHUNK; the other modes are exact
-# at any chunk size and stream _EXACT_CHUNK
-_CHUNK = 512
-_EXACT_CHUNK = 192
+# points per streamed chunk; every mode is exact at any size (module docstring)
+CHUNK_ROWS = 192
 
 ASSIGNMENTS = ("soft", "hard")
 POOLINGS = ("max", "average")
@@ -127,13 +124,6 @@ def _soft_rows(d2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def chunk_rows(params: EncodingParams) -> int:
-    """Points per streamed chunk when encoding with ``params``."""
-    if params.assignment == "soft" and params.pooling == "average":
-        return _CHUNK
-    return _EXACT_CHUNK
-
-
 @dataclass(frozen=True, eq=False)
 class WordPlan:
     """A codebook's float32 terms of ``w^2 - 2 p.w``: the words times -2 and
@@ -162,9 +152,9 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
     so the full N x k assignment matrix is never materialized. Each chunk's
     ``w^2 - 2 p.w`` (the squared distance less the per-point constant p^2)
     is one float32 GEMM, exact as explained in the module docstring. Soft
-    rows are pooled per chunk; hard assignment keeps only each point's
-    nearest word (the lowest index on a tie) and pools the word counts at
-    the end.
+    rows are pooled per chunk into a running maximum or point-order sum;
+    hard assignment keeps only each point's nearest word (the lowest index
+    on a tie) and pools the word counts at the end.
 
     ``plan`` is ``word_plan(cb)``, built here when None; a plan built from
     another codebook raises ValueError.
@@ -177,8 +167,7 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
         raise ValueError("word plan was built from another codebook")
     n, k = len(ds), cb.k
     neg2w, w_sq = plan.neg2w, plan.w_sq
-    chunk = chunk_rows(params)
-    m = min(n, chunk)
+    m = min(n, CHUNK_ROWS)
     pts = np.empty((m, neg2w.shape[1]), dtype=np.float32)
     part = np.empty((m, k), dtype=np.float32)
     soft = params.assignment == "soft"
@@ -188,8 +177,8 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
     else:
         nearest = np.empty(n, dtype=np.intp)
 
-    for start in range(0, n, chunk):
-        block = ds.descriptors[start : start + chunk]
+    for start in range(0, n, CHUNK_ROWS):
+        block = ds.descriptors[start : start + CHUNK_ROWS]
         b = len(block)
         pts[:b] = block
         d = np.matmul(pts[:b], neg2w.T, out=part[:b])
@@ -201,7 +190,8 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
         if params.pooling == "max":
             np.maximum(acc, r.max(axis=0), out=acc)
         else:
-            acc += r.sum(axis=0)
+            r[0] += acc  # a running sum in point order (module docstring)
+            np.sum(r, axis=0, out=acc)
 
     if not soft:
         counts = np.bincount(nearest, minlength=k)

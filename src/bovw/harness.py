@@ -26,7 +26,7 @@ import numpy as np
 from .classifier import TrainConfig, accuracy, svm_lambda, train_ovr
 from .codebook import Codebook, build_random_codebook, check_pool_size
 from .corpus import DatasetManifest, ManifestEntry, image_size, load_image, select_classes
-from .encoding import EncodingParams, chunk_rows, encode_image, word_plan
+from .encoding import CHUNK_ROWS, EncodingParams, encode_image, word_plan
 from .features import (
     DescriptorSet,
     GridParams,
@@ -383,7 +383,7 @@ def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
         row[:] = encode_image(ds, cb, params, plan).h
 
     jobs = list(zip(bows, sets, strict=True))
-    _on_image_threads(fill, jobs, sum(map(len, sets)) > chunk_rows(params) * len(sets))
+    _on_image_threads(fill, jobs, sum(map(len, sets)) > CHUNK_ROWS * len(sets))
     return bows
 
 
@@ -494,13 +494,20 @@ def diversity_sweep(
     return _experiment("sweep", curves, target, [n_train], spec, params, store)
 
 
+def check_output_dir(path: str | Path) -> Path:
+    """``path`` as a Path; raises ValueError naming it if its directory does
+    not exist, so that a bad output path fails before any extraction."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ValueError(f"{path}: directory {path.parent} does not exist")
+    return path
+
+
 def check_summary_csv(path: str | Path) -> bool:
     """Whether a results CSV still needs its header (it does not exist or
     is empty). Raises ValueError if its directory does not exist or a
     non-empty file does not start with the header."""
-    path = Path(path)
-    if not path.parent.is_dir():
-        raise ValueError(f"{path}: directory {path.parent} does not exist")
+    path = check_output_dir(path)
     if not path.exists() or path.stat().st_size == 0:
         return True
     with path.open(newline="", encoding="utf-8") as fh:

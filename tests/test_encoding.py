@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,9 +9,7 @@ from hypothesis import strategies as st
 import bovw.encoding
 from bovw.codebook import Codebook
 from bovw.encoding import (
-    _CHUNK,
     EncodingParams,
-    chunk_rows,
     encode_image,
     export_bows_csv,
     load_bows,
@@ -147,14 +146,14 @@ def exact_d2(pts, words) -> np.ndarray:
 
 def pooled_reference(d2, assignment, pooling, sigma, l2_normalize) -> np.ndarray:
     """``soft_assign``/``hard_assign`` rows on ``d2``, pooled in the order
-    encode_image pools: average sums rows chunk by chunk."""
+    encode_image pools: average sums rows in point order."""
     rows = soft_assign(d2, sigma) if assignment == "soft" else hard_assign(d2)
     if pooling == "max":
         h = rows.max(axis=0)
     else:
         h = np.zeros(rows.shape[1])
-        for start in range(0, len(rows), _CHUNK):
-            h += rows[start : start + _CHUNK].sum(axis=0)
+        for row in rows:
+            h += row
         h /= len(rows)
     if l2_normalize:
         h /= np.linalg.norm(h)
@@ -411,29 +410,44 @@ class TestExactKernel:
 
 
 class TestChunkSize:
-    """Only soft average pooling's bytes depend on the chunk size; the other
-    modes stream smaller chunks because they are exact at any size."""
-
-    def test_chunk_rows(self):
-        assert chunk_rows(EncodingParams(assignment="soft", pooling="average")) == _CHUNK == 512
-        for assignment, pooling in (("soft", "max"), ("hard", "max"), ("hard", "average")):
-            assert chunk_rows(EncodingParams(assignment=assignment, pooling=pooling)) == 192
+    """Every mode gives the same bits at any chunk size: soft average pooling
+    is a running sum in point order, and the other modes cross rows only by
+    an exact maximum or an integer count."""
 
     @pytest.mark.parametrize("l2_normalize", [False, True])
-    @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "max"),
-                                                    ("hard", "average")])
+    @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("soft", "average"),
+                                                    ("hard", "max"), ("hard", "average")])
     def test_encodings_equal_across_chunk_sizes(self, monkeypatch, assignment, pooling,
                                                 l2_normalize):
-        cb = make_codebook(TestExactKernel.WORDS)  # nearest-word ties included
-        for n in (1, 63, 300, 1025):
-            ds = DescriptorSet(np.zeros((n, 2), np.int32), extreme_bytes(n, n + 1), "im")
-            for sigma in (60.0, 7.5):
-                params = EncodingParams(sigma, assignment, pooling, l2_normalize)
-                got = []
-                for rows in (64, 192, 256, 512):
-                    monkeypatch.setattr(bovw.encoding, "_EXACT_CHUNK", rows)
-                    got.append(encode_image(ds, cb, params).h)
-                assert all(np.array_equal(h, got[0]) for h in got), (n, sigma)
+        cases = [(n, extreme_bytes(n, n + 1)) for n in (1, 63, 513, 1681)]
+        # small k is where numpy's reduction order could differ from point order;
+        # from k = 3 the words repeat word 0, so nearest-word ties occur
+        for k in (1, 2, 3, 1000):
+            cb = make_codebook(TestExactKernel.WORDS[:k])
+            for n, pts in cases:
+                ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+                for sigma in (60.0, 7.5):
+                    params = EncodingParams(sigma, assignment, pooling, l2_normalize)
+                    got = []
+                    for rows in (1, 7, 64, 192, 512):
+                        monkeypatch.setattr(bovw.encoding, "CHUNK_ROWS", rows)
+                        got.append(encode_image(ds, cb, params).h)
+                    assert all(np.array_equal(h, got[0]) for h in got), (k, n, sigma)
+
+    def test_soft_average_bytes_pinned(self):
+        # sha256 of soft/average encodings recorded with 512-row chunk sums,
+        # which equal the point-order sum up to 513 points
+        digest = hashlib.sha256()
+        for words in (TestExactKernel.WORDS, extreme_bytes(3, 22)):
+            cb = make_codebook(words)
+            for n in (1, 81, 512, 513):
+                ds = DescriptorSet(np.zeros((n, 2), np.int32), extreme_bytes(n, n), "im")
+                for sigma in (60.0, 7.5):
+                    for l2_normalize in (False, True):
+                        params = EncodingParams(sigma, "soft", "average", l2_normalize)
+                        digest.update(encode_image(ds, cb, params).h.tobytes())
+        assert digest.hexdigest() == (
+            "3403448b079ec37081d290fe8c73da239697e5430f994ec4f57459d105c36bc4")
 
 
 class TestBowIO:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bovw.codebook import Codebook, build_random_codebook
+from bovw.codebook import Codebook, build_random_codebook, save_codebook
 from bovw.corpus import (
     DatasetManifest,
     Image,
@@ -24,7 +24,7 @@ from bovw.corpus import (
     save_image,
     select_classes,
 )
-from bovw.encoding import EncodingParams, chunk_rows, encode_image, save_bows
+from bovw.encoding import CHUNK_ROWS, EncodingParams, encode_image, save_bows
 from bovw.features import (
     GridParams,
     cache_path,
@@ -233,7 +233,7 @@ class TestEncodeRows:
         sets = [random_descriptor_set(points + i, seed=i) for i in range(5)]
         want = np.array([encode_image(ds, cb, params).h for ds in sets])
         assert np.array_equal(encode_rows(np.full(want.shape, np.nan), sets, cb, params), want)
-        threaded = points > chunk_rows(params) and bovw.harness._openblas_threads() is not None
+        threaded = points > CHUNK_ROWS and bovw.harness._openblas_threads() is not None
         main = threading.get_ident()
         if threaded:
             assert all(thread != main and blas == 1 for thread, blas in calls)
@@ -720,6 +720,7 @@ class TestSynth:
 
 
 SEED_ERROR = "argument --seed: expected a non-negative integer"
+TINY_ERROR = "{t}/tiny.pgm: image 8x8 smaller than one 16-pixel patch"
 
 
 @pytest.fixture
@@ -873,6 +874,39 @@ class TestCli:
                               "image 8x8 smaller than one 16-pixel patch\n")
         assert list(cache.glob("*")) == []
         assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param("extract --manifest {t}/tiny.manifest", TINY_ERROR, id="extract-image"),
+        pytest.param("encode --manifest {t}/tiny.manifest --codebook {t}/cb.bin --out {t}/b.bin",
+                     TINY_ERROR, id="encode-image"),
+        pytest.param("encode --manifest {m} --codebook {t}/cb.bin --out {t}/b.bin --sigma 0",
+                     "sigma must be positive and finite, with 1/(2 sigma^2) finite and nonzero; "
+                     "got 0.0", id="encode-sigma"),
+        pytest.param("codebook --manifest {m} --k 12 --out {t}/nodir/b.bin",
+                     "{t}/nodir/b.bin: directory {t}/nodir does not exist", id="codebook-out"),
+        pytest.param("encode --manifest {m} --codebook {t}/cb.bin --out {t}/nodir/b.bin",
+                     "{t}/nodir/b.bin: directory {t}/nodir does not exist", id="encode-out"),
+        pytest.param("encode --manifest {m} --codebook {t}/cb.bin --out {t}/b.bin "
+                     "--csv {t}/nodir/b.csv",
+                     "{t}/nodir/b.csv: directory {t}/nodir does not exist", id="encode-csv"),
+    ])
+    def test_pipeline_input_fails_before_any_extraction(self, tmp_path, micro_corpus, argv,
+                                                        message):
+        # the manifest lists a 48x48 image before the 8x8 one
+        save_image(Image(pixels=np.zeros((8, 8), np.uint8)), tmp_path / "tiny.pgm")
+        (tmp_path / "tiny.manifest").write_text(
+            f"{micro_corpus.resolve(micro_corpus.entries[0])}\tblocks\n"
+            f"{tmp_path / 'tiny.pgm'}\tblocks\n")
+        words = np.random.default_rng(3).integers(0, 256, (12, 128)).astype(np.uint8)
+        save_codebook(Codebook(words, "micro", (), 0), tmp_path / "cb.bin")
+        cache = tmp_path / "cache"
+        fill = functools.partial(str.format, m=micro_corpus.base_dir / "micro.manifest",
+                                 t=tmp_path)
+        out = run_cli(*map(fill, argv.split()), "--cache-dir", str(cache))
+        assert out.returncode == 2
+        assert out.stderr == f"bovw {argv.split()[0]}: error: {fill(message)}\n"
+        assert not cache.exists()
+        assert not (tmp_path / "b.bin").exists()
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
