@@ -149,6 +149,7 @@ def _labelled_bows(args) -> tuple:
 
 
 def cmd_train(args) -> int:
+    harness.check_output_dir(args.out)  # a bad --out fails before any training
     mat, labels = _labelled_bows(args)
     cfg = classifier.TrainConfig(c_reg=args.c_reg, epochs=args.epochs, seed=args.seed)
     model = classifier.train_ovr(mat, labels, cfg)

@@ -167,16 +167,19 @@ class DescriptorStore:
         extracted first, on image threads (``_on_image_threads``), after the
         extraction kernel's tables are built in this thread; the sets are the
         bytes serial ``get`` calls give. Logs one INFO line: images taken
-        from memory, from the cache and extracted, and extraction seconds."""
+        from memory, from the cache and extracted, the grid points extracted
+        and extraction seconds."""
         in_memory = sum(manifest.resolve(e) in self._memory for e in manifest.entries)
         misses = [e for e in manifest.entries if self._stored(manifest, e) is None]
         started = time.perf_counter()
         if misses:
             gradient_tables()  # here, so that no two image threads build them
             _on_image_threads(lambda e: self._extract(manifest, e), misses)
-        logger.info("pool %s: %d from memory, %d from cache, %d extracted in %.3f s",
+        seconds = time.perf_counter() - started
+        points = sum(len(self._memory[manifest.resolve(e)]) for e in misses)
+        logger.info("pool %s: %d from memory, %d from cache, %d extracted (%d points) in %.3f s",
                     manifest.name, in_memory, len(manifest) - in_memory - len(misses),
-                    len(misses), time.perf_counter() - started)
+                    len(misses), points, seconds)
         return [self.get(manifest, e) for e in manifest.entries]
 
     def _stored(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet | None:

@@ -230,6 +230,40 @@ class TestBlockedKernel:
                               self.per_bin(pixels, params))
 
 
+class TestReusedMassArray:
+    """Every block of an image refills one orientation-mass array, so no
+    block may see the masses an earlier block left in it."""
+
+    @pytest.mark.parametrize("count", [257, 513])
+    def test_flat_patch_after_a_textured_block_is_zero(self, count):
+        # one row of `count` patches at stride 1; the first patch of each
+        # later block is flat, while the first patch of the first is not
+        assert BLOCK_PATCHES == 256
+        texture = render_texture(textures8_specs()[4], 256, np.random.default_rng(14)).pixels
+        pixels = np.tile(texture, (1, 3))[:16, : 15 + count].copy()
+        firsts = range(BLOCK_PATCHES, count, BLOCK_PATCHES)
+        for first in firsts:
+            pixels[:, first : first + 16] = 128
+        ds = extract_dense_sift(Image(pixels=pixels), GridParams(stride=1))
+        assert ds.descriptors[0].any()
+        for first in firsts:
+            assert not ds.descriptors[first].any()
+        windows = sliding_window_view(pixels, (16, 16))[0]
+        assert np.array_equal(ds.descriptors, describe_patches_per_bin(windows))
+
+    def test_prefilled_array_gives_the_fresh_array_bytes(self):
+        # the step-edge stack of TestBlockedKernel, through arrays larger than it
+        floor = np.where((np.arange(16) // 2) % 2 == 0, 0.0, -0.0)
+        patch = np.repeat(floor[:, np.newaxis], 16, axis=1)
+        patch[:, 6:10] = 200.0
+        patches = np.stack([patch, patch[:, ::-1], patch.T, -patch])
+        garbage = np.random.default_rng(2).uniform(-1e3, 1e3, (7, 8, 256))
+        fresh = features._describe_patches(patches)
+        assert fresh.any()
+        assert np.array_equal(features._describe_patches(patches, garbage), fresh)
+        assert np.array_equal(fresh, describe_patches_per_bin(patches))
+
+
 class TestGradientTables:
     def test_every_difference_pair_gives_the_oracle_bytes(self):
         # every (dx, dy) in [-255, 255]^2 at one of 16 pixels of a 12x12

@@ -639,10 +639,13 @@ class TestPool:
         store.pool(micro_corpus)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pool ")]
         counts = [re.fullmatch(r"pool micro: (\d+) from memory, (\d+) from cache, "
-                               r"(\d+) extracted in \d+\.\d{3} s", line).groups()
+                               r"(\d+) extracted \((\d+) points\) in \d+\.\d{3} s",
+                               line).groups()
                   for line in lines]
+        # 48x48 images hold 6x6 grid points
         n = len(micro_corpus)
-        assert counts == [("0", "0", str(n)), ("2", str(n - 3), "1"), (str(n), "0", "0")]
+        assert counts == [("0", "0", str(n), str(n * 36)), ("2", str(n - 3), "1", "36"),
+                          (str(n), "0", "0", "0")]
 
 
 class TestSummaryCsv:
@@ -946,13 +949,20 @@ class TestCli:
                      "--runs 2 --cache-dir {t}/cache --out {t}/res.csv",
                      "argument --ntrain: expected a positive integer, got '0'",
                      id="sweep-ntrain-zero"),
+        pytest.param("train --bows {t}/bows.bin --manifest {m} --out {t}/nodir/m.bin",
+                     "bovw train: error: {t}/nodir/m.bin: directory {t}/nodir does not exist",
+                     id="train-out-nodir"),
     ])
     def test_usage_error_writes_nothing(self, tmp_path, micro_corpus, micro_bows, argv, message):
-        manifest = micro_corpus.base_dir / "micro.manifest"
-        out = run_cli(*[a.format(m=manifest, t=tmp_path) for a in argv.split()])
+        fill = functools.partial(str.format, m=micro_corpus.base_dir / "micro.manifest",
+                                 t=tmp_path)
+        out = run_cli(*map(fill, argv.split()))
         assert out.returncode == 2
-        assert out.stderr.startswith("usage: bovw") and message in out.stderr
-        assert list(tmp_path.iterdir()) == [micro_bows]  # no cache file, CSV or image
+        if message.startswith("bovw "):  # the command's own check: its one error line
+            assert out.stderr == fill(message) + "\n"
+        else:  # argparse's: the usage, then the error
+            assert out.stderr.startswith("usage: bovw") and message in out.stderr
+        assert list(tmp_path.iterdir()) == [micro_bows]  # no cache file, CSV, image or model
 
     @pytest.mark.parametrize("command", ["crossbase --ntrain 3",
                                          "sweep --class-counts 1,3 --ntrain 3"],
