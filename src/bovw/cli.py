@@ -106,9 +106,10 @@ def cmd_codebook(args) -> int:
         manifest = harness.select_classes(
             manifest, args.classes, args.seed + harness.CLASS_SEED_OFFSET
         )
-        print(f"classes: {','.join(manifest.class_labels)}")
     harness.check_output_dir(args.out)  # a bad --out, --k or image fails before any extraction
-    harness.check_dictionary_source(manifest, _grid(args), args.k)
+    codebook.check_pool_size(harness.grid_points(manifest, _grid(args)), args.k)
+    if args.classes is not None:
+        print(f"classes: {','.join(manifest.class_labels)}")
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
     cb = codebook.build_random_codebook(
         store.pool(manifest),

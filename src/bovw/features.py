@@ -19,6 +19,13 @@ block fault all its pages in again (on Linux, 10,950 minor faults per
 kept per thread is never freed, so glibc's dynamic mmap threshold never
 rises and every other block temporary is mmapped and faulted in again in
 every block (about 7,900 faults per image).
+
+A descriptor cache file (version 2) is the magic, the version and six u32
+fields, n, dims, stride, patch, width and height, then the n x 128
+descriptor bytes in grid order: 32 + 128 n bytes (215,200 B at 1,681
+points). The keypoints are ``dense_grid(width, height)``, so they are not
+stored; a file whose n is not that grid's size fails to load, as does a
+version-1 file (an (x, y) u32 pair before each descriptor).
 """
 
 from __future__ import annotations
@@ -46,9 +53,7 @@ BLOCK_PATCHES = 256
 MAX_DIFF = 255
 
 CACHE_MAGIC = b"BVWD"
-CACHE_VERSION = 1
-# one cache record: keypoint (x, y) then the descriptor bytes, packed
-_CACHE_RECORD = np.dtype([("xy", "<u4", (2,)), ("desc", "u1", (DESCRIPTOR_DIMS,))])
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -258,27 +263,27 @@ def cache_path(cache_dir: str | Path, image_path: str | Path, params: GridParams
     return Path(cache_dir) / f"{digest}.desc"
 
 
-def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParams) -> None:
-    """Write a descriptor cache file.
-
-    Layout (little-endian): magic, version, N, dims, stride, patch_size as
-    u32 fields, then N records of (x: u32, y: u32, 128 descriptor bytes).
-    The file is replaced atomically.
+def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParams,
+                          width: int, height: int) -> None:
+    """Write the set of a ``width`` x ``height`` image as a cache file,
+    replaced atomically. Layout (little-endian, module docstring): magic,
+    version 2, u32 n, dims, stride, patch_size, width, height, then the
+    n x 128 descriptor bytes. Raises ValueError unless ``ds.keypoints`` is
+    ``dense_grid(width, height, params)``, as the file does not store them.
     """
-    n = len(ds)
-    records = np.empty(n, dtype=_CACHE_RECORD)
-    records["xy"] = ds.keypoints
-    records["desc"] = ds.descriptors
+    if not np.array_equal(ds.keypoints, dense_grid(width, height, params)):
+        raise ValueError(f"keypoints are not the {width}x{height} image's dense grid")
     binfile.write(path, CACHE_MAGIC, CACHE_VERSION,
-                  struct.pack("<4I", n, DESCRIPTOR_DIMS, params.stride, params.patch_size),
-                  records)
+                  struct.pack("<6I", len(ds), DESCRIPTOR_DIMS, params.stride,
+                              params.patch_size, width, height),
+                  np.ascontiguousarray(ds.descriptors))
 
 
 def load_descriptor_cache(
     path: str | Path, params: GridParams, source_image: str = ""
 ) -> DescriptorSet:
     reader = binfile.Reader(path, CACHE_MAGIC, CACHE_VERSION, "descriptor cache")
-    n, dims, stride, patch = reader.fields("<4I")
+    n, dims, stride, patch, width, height = reader.fields("<6I")
     if dims != DESCRIPTOR_DIMS:
         raise ValueError(f"{path}: unexpected descriptor dims {dims}")
     if (stride, patch) != (params.stride, params.patch_size):
@@ -286,9 +291,10 @@ def load_descriptor_cache(
             f"{path}: cache built with stride={stride}, patch={patch}; "
             f"requested stride={params.stride}, patch={params.patch_size}"
         )
-    records = reader.array(_CACHE_RECORD, n)
-    return DescriptorSet(
-        keypoints=records["xy"].astype(np.int32),
-        descriptors=records["desc"].copy(),
-        source_image=source_image,
-    )
+    descriptors = reader.array(np.uint8, n * DESCRIPTOR_DIMS).reshape(n, DESCRIPTOR_DIMS)
+    # counted before dense_grid runs, so a damaged size cannot build a huge grid
+    cols, rows = ((size - patch) // stride + 1 for size in (width, height))
+    if min(cols, rows) < 1 or cols * rows != n:
+        raise ValueError(f"{path}: {n} descriptors for a {width}x{height} image")
+    return DescriptorSet(keypoints=dense_grid(width, height, params),
+                         descriptors=descriptors.copy(), source_image=source_image)

@@ -299,7 +299,7 @@ class TestDescriptorCache:
         params = GridParams()
         ds = extract_dense_sift(random_image(48, 48, 5), params, source="x.pgm")
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, ds, params)
+        save_descriptor_cache(path, ds, params, 48, 48)
         back = load_descriptor_cache(path, params, source_image="x.pgm")
         assert np.array_equal(back.keypoints, ds.keypoints)
         assert np.array_equal(back.descriptors, ds.descriptors)
@@ -309,25 +309,65 @@ class TestDescriptorCache:
         params = GridParams()
         ds = extract_dense_sift(random_image(32, 32, 6), params)
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, ds, params)
+        save_descriptor_cache(path, ds, params, 32, 32)
         with pytest.raises(ValueError, match="stride"):
             load_descriptor_cache(path, GridParams(stride=8))
 
     def test_layout_matches_docstring(self, tmp_path):
-        # the documented layout, built field by field with struct
+        # the documented version-2 layout, built field by field with struct
         params = GridParams(stride=5, patch_size=12)
-        keypoints = np.array([[6, 7], [300, 70000]], np.int32)
-        descriptors = np.arange(256, dtype=np.uint8).reshape(2, 128)
-        want = b"BVWD" + struct.pack("<5I", 1, 2, 128, 5, 12)
-        for (x, y), desc in zip(keypoints, descriptors):
-            want += struct.pack("<2I", x, y) + desc.tobytes()
+        keypoints = dense_grid(23, 17, params)  # 3 columns x 2 rows
+        descriptors = (np.arange(6 * 128) % 251).astype(np.uint8).reshape(6, 128)
+        want = b"BVWD" + struct.pack("<7I", 2, 6, 128, 5, 12, 23, 17) + descriptors.tobytes()
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, DescriptorSet(keypoints, descriptors, "x.pgm"), params)
+        save_descriptor_cache(path, DescriptorSet(keypoints, descriptors, "x.pgm"), params, 23, 17)
         assert path.read_bytes() == want
         back = load_descriptor_cache(path, params)
         assert back.keypoints.dtype == np.int32
         assert np.array_equal(back.keypoints, keypoints)
         assert np.array_equal(back.descriptors, descriptors)
+        assert back.descriptors.flags.c_contiguous and back.descriptors.flags.writeable
+
+    def test_file_size_of_a_256_square_image(self, tmp_path):
+        params = GridParams()
+        keypoints = dense_grid(256, 256, params)
+        descriptors = np.zeros((len(keypoints), 128), np.uint8)
+        path = tmp_path / "x.desc"
+        save_descriptor_cache(path, DescriptorSet(keypoints, descriptors, ""), params, 256, 256)
+        assert len(keypoints) == 1681
+        assert path.stat().st_size == 32 + 128 * 1681 == 215_200
+
+    @pytest.mark.parametrize("keypoints", [
+        pytest.param(lambda grid: grid[::-1].copy(), id="reordered"),
+        pytest.param(lambda grid: grid + 1, id="shifted"),
+        pytest.param(lambda grid: grid[:-1], id="short"),
+    ])
+    def test_saving_a_set_that_is_not_the_grid_raises(self, tmp_path, keypoints):
+        params = GridParams()
+        kps = keypoints(dense_grid(40, 28, params))
+        ds = DescriptorSet(kps, np.zeros((len(kps), 128), np.uint8), "x.pgm")
+        with pytest.raises(ValueError, match="not the 40x28 image's dense grid"):
+            save_descriptor_cache(tmp_path / "x.desc", ds, params, 40, 28)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("width, height", [(40, 34), (34, 40), (46, 28), (15, 1000),
+                                               (0, 0), (2**32 - 1, 28), (40, 2**32 - 1)])
+    def test_size_that_disagrees_with_n_raises(self, tmp_path, width, height):
+        # a 40x28 image holds 5 x 3 points; none of these sizes does
+        params = GridParams()
+        header = struct.pack("<6I", 15, 128, 6, 16, width, height)
+        path = tmp_path / "x.desc"
+        path.write_bytes(b"BVWD" + struct.pack("<I", 2) + header + bytes(15 * 128))
+        with pytest.raises(ValueError, match=f"15 descriptors for a {width}x{height} image"):
+            load_descriptor_cache(path, params)
+
+    def test_version_1_file_raises(self, tmp_path):
+        # version 1 stored an (x, y) u32 pair before each descriptor
+        path = tmp_path / "x.desc"
+        path.write_bytes(b"BVWD" + struct.pack("<5I", 1, 1, 128, 6, 16)
+                         + struct.pack("<2I", 8, 8) + bytes(128))
+        with pytest.raises(ValueError, match="unsupported descriptor cache version 1"):
+            load_descriptor_cache(path, GridParams())
 
     def test_key_depends_on_params_and_path(self, tmp_path):
         a = cache_path(tmp_path, "im.pgm", GridParams())

@@ -12,16 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bovw import binfile
-from bovw.classifier import MODEL_MAGIC, LinearModel, load_model, save_model
-from bovw.codebook import CODEBOOK_MAGIC, Codebook, load_codebook, save_codebook
+from bovw.classifier import MODEL_MAGIC, MODEL_VERSION, LinearModel, load_model, save_model
+from bovw.codebook import (CODEBOOK_MAGIC, CODEBOOK_VERSION, Codebook, load_codebook,
+                           save_codebook)
 from bovw.encoding import BOW_MAGIC, BOW_VERSION, load_bows, save_bows
-from bovw.features import CACHE_MAGIC, GridParams, load_descriptor_cache, save_descriptor_cache
+from bovw.features import (CACHE_MAGIC, CACHE_VERSION, GridParams, dense_grid,
+                           load_descriptor_cache, save_descriptor_cache)
 
 from conftest import random_descriptor_set
 
 
 def save_cache(path):
-    save_descriptor_cache(path, random_descriptor_set(2, 0), GridParams())
+    # a 22x16 image holds two 16-pixel patches at stride 6
+    ds = random_descriptor_set(2, 0)
+    ds.keypoints = dense_grid(22, 16, GridParams())
+    save_descriptor_cache(path, ds, GridParams(), 22, 16)
 
 
 def save_codebook_file(path):
@@ -44,10 +49,12 @@ FORMATS = {
     "model": (save_model_file, load_model),
 }
 MAGICS = {"cache": CACHE_MAGIC, "codebook": CODEBOOK_MAGIC, "bows": BOW_MAGIC, "model": MODEL_MAGIC}
+VERSIONS = {"cache": CACHE_VERSION, "codebook": CODEBOOK_VERSION, "bows": BOW_VERSION,
+            "model": MODEL_VERSION}
 # sha256 of each sample file; saved files are what later runs load, so their
 # bytes change only with a new format version
 SHA256 = {
-    "cache": "efac035016ff6b09c9cd530db1dc78073d641e8eb56d44f28a2b2aabf0581b5e",
+    "cache": "846eac5bcced800a6992012dd21c30b5d503c6fc8a942166eff86aff94c76988",
     "codebook": "653ddd144efe15c7e2291b88de44b37a3d560bf5ea636e29023570b502b844f8",
     "bows": "664fb2a9893c08b2e48601ffbc172634c4e1f3928e61ac5302dd7c5b4a7ea588",
     "model": "b7adedf2c4e42440f77be9075941367074527be640c1255db0899003f8387714",
@@ -138,11 +145,12 @@ def fuzz_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=150, deadline=None)
-@given(version_one=st.booleans(), tail=st.binary(max_size=600))
-def test_any_bytes_after_magic_load_or_raise_value_error(fmt, fuzz_dir, version_one, tail):
+@given(current_version=st.booleans(), tail=st.binary(max_size=600))
+def test_any_bytes_after_magic_load_or_raise_value_error(fmt, fuzz_dir, current_version, tail):
     # half the inputs carry the current version, so the parse goes past it
     path = fuzz_dir / f"{fmt}.bin"
-    path.write_bytes(MAGICS[fmt] + (struct.pack("<I", 1) if version_one else b"") + tail)
+    version = struct.pack("<I", VERSIONS[fmt]) if current_version else b""
+    path.write_bytes(MAGICS[fmt] + version + tail)
     try:
         FORMATS[fmt][1](path)
     except ValueError:

@@ -4,17 +4,19 @@ import logging
 import re
 import shlex
 import shutil
+import struct
 import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bovw.codebook import Codebook, build_random_codebook, save_codebook
+from bovw.codebook import Codebook, build_random_codebook, load_codebook, save_codebook
 from bovw.corpus import (
     DatasetManifest,
     Image,
@@ -28,6 +30,7 @@ from bovw.encoding import CHUNK_ROWS, EncodingParams, encode_image, save_bows
 from bovw.features import (
     GridParams,
     cache_path,
+    dense_grid,
     extract_dense_sift,
     gradient_tables,
     load_descriptor_cache,
@@ -129,7 +132,7 @@ class TestConfidenceInterval:
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(1)
         for alpha in (0.10, 0.05, 0.01):
-            for n in (2, 3, 5, 8, 20, 31):
+            for n in (2, 3, 5, 8, 20, 31, 32, 40, 100, 1000):
                 vals = rng.uniform(0, 1, n).tolist()
                 mean, low, high = confidence_interval(vals, alpha=alpha)
                 t = scipy_stats.t.ppf(1 - alpha / 2, n - 1)
@@ -145,11 +148,17 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="c_reg must be positive and finite"):
             PipelineParams(c_reg=c_reg)
 
-    def test_large_n_uses_normal_limit(self):
-        vals = [0.0, 1.0] * 20  # n = 40, beyond the table
-        mean, low, high = confidence_interval(vals, alpha=0.05)
+    def test_normal_quantiles_are_the_standard_library_values(self):
+        for alpha, z in bovw.harness._Z.items():
+            assert z == NormalDist().inv_cdf(1 - alpha / 2)
+
+    @pytest.mark.parametrize("alpha, t", [(0.10, 1.6849), (0.05, 2.0227), (0.01, 2.7079)])
+    def test_large_n_uses_student_t_beyond_the_table(self, alpha, t):
+        # n = 40, df = 39: printed t tables, not the normal limit
+        vals = [0.0, 1.0] * 20
+        mean, low, high = confidence_interval(vals, alpha=alpha)
         s = np.std(vals, ddof=1)
-        assert high - mean == pytest.approx(1.96 * s / np.sqrt(40), rel=1e-4)
+        assert high - mean == pytest.approx(t * s / np.sqrt(40), rel=1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -470,19 +479,36 @@ def test_traced_names_are_bound_in_harness():
 
 
 class TestDescriptorStore:
-    @pytest.mark.parametrize("damage", ["cut", "garbage"])
+    @staticmethod
+    def damaged(data: bytes, damage: str) -> bytes:
+        """A version-2 cache file of a 48x48 image (6 x 6 points), damaged."""
+        if damage == "cut":
+            return data[: len(data) // 2]
+        if damage == "garbage":
+            return bytes(range(256)) * 3
+        if damage == "size":  # 48x54 holds 6 x 7 points
+            return data[:24] + struct.pack("<2I", 48, 54) + data[32:]
+        # version 1: n, dims, stride, patch, then (x, y, descriptor) per point
+        n, dims, stride, patch = struct.unpack_from("<4I", data, 8)
+        keypoints = dense_grid(48, 48, GridParams())
+        return data[:4] + struct.pack("<5I", 1, n, dims, stride, patch) + b"".join(
+            struct.pack("<2I", x, y) + data[32 + i * 128 : 32 + (i + 1) * 128]
+            for i, (x, y) in enumerate(keypoints.tolist()))
+
+    @pytest.mark.parametrize("damage", ["cut", "garbage", "size", "version1"])
     def test_unreadable_cache_file_is_re_extracted(self, micro_corpus, tmp_path, caplog, damage):
         grid, entry = GridParams(), micro_corpus.entries[0]
         image_path = micro_corpus.resolve(entry)
         DescriptorStore(grid, cache_dir=tmp_path).get(micro_corpus, entry)
         cpath = cache_path(tmp_path, image_path, grid)
         data = cpath.read_bytes()
-        cpath.write_bytes(data[: len(data) // 2] if damage == "cut" else bytes(range(256)) * 3)
+        cpath.write_bytes(self.damaged(data, damage))
         got = DescriptorStore(grid, cache_dir=tmp_path).get(micro_corpus, entry)
         fresh = extract_dense_sift(load_image(image_path), grid)
         assert np.array_equal(got.keypoints, fresh.keypoints)
         assert np.array_equal(got.descriptors, fresh.descriptors)
-        assert "re-extracting" in caplog.text
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "re-extracting" in warnings[0].getMessage()
         assert cpath.read_bytes() == data
         assert np.array_equal(load_descriptor_cache(cpath, grid).descriptors, fresh.descriptors)
 
@@ -753,6 +779,34 @@ class TestCli:
                       "--model", str(tmp_path / "model.bin"))
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("accuracy\t")
+
+    @pytest.mark.parametrize("classes, seed", [(1, 0), (2, 3), (2, 4)])
+    def test_codebook_classes_prints_the_chosen_classes(self, tmp_path, micro_corpus, classes,
+                                                        seed):
+        out = run_cli("codebook", "--manifest", str(micro_corpus.base_dir / "micro.manifest"),
+                      "--classes", str(classes), "--seed", str(seed), "--k", "12",
+                      "--out", str(tmp_path / "cb.bin"))
+        assert out.returncode == 0, out.stderr
+        chosen = select_classes(micro_corpus, classes, seed + CLASS_SEED_OFFSET).class_labels
+        assert out.stdout.splitlines()[0] == f"classes: {','.join(chosen)}"
+        assert load_codebook(tmp_path / "cb.bin").source_classes == tuple(chosen)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("--manifest {m} --k 12 --out {t}/nodir/cb.bin", id="out"),
+        pytest.param("--manifest {m} --k 100000 --out {t}/cb.bin", id="k"),
+        pytest.param("--manifest {t}/tiny.manifest --k 12 --out {t}/cb.bin", id="image"),
+    ])
+    def test_failing_codebook_classes_run_prints_nothing(self, tmp_path, micro_corpus, argv):
+        save_image(Image(pixels=np.zeros((8, 8), np.uint8)), tmp_path / "tiny.pgm")
+        (tmp_path / "tiny.manifest").write_text(f"{tmp_path / 'tiny.pgm'}\tblocks\n")
+        fill = functools.partial(str.format, m=micro_corpus.base_dir / "micro.manifest",
+                                 t=tmp_path)
+        out = run_cli("codebook", *map(fill, argv.split()), "--classes", "1",
+                      "--cache-dir", str(tmp_path / "cache"))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("bovw codebook: error: ") and out.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.manifest", "tiny.pgm"]
 
     def test_experiment_defaults_match_protocol(self):
         # the documented defaults: stride 6, patch 16, k 1000, sigma 60,
