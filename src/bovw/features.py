@@ -20,12 +20,12 @@ kept per thread is never freed, so glibc's dynamic mmap threshold never
 rises and every other block temporary is mmapped and faulted in again in
 every block (about 7,900 faults per image).
 
-A descriptor cache file (version 2) is the magic, the version and six u32
-fields, n, dims, stride, patch, width and height, then the n x 128
-descriptor bytes in grid order: 32 + 128 n bytes (215,200 B at 1,681
-points). The keypoints are ``dense_grid(width, height)``, so they are not
-stored; a file whose n is not that grid's size fails to load, as does a
-version-1 file (an (x, y) u32 pair before each descriptor).
+A descriptor set holds its image's size and grid, and derives its points
+from them. A cache file (version 2) is the magic, the version and six u32
+fields, n, dims, stride, patch, width and height, then the n x 128 descriptor
+bytes in grid order: 32 + 128 n bytes (215,200 B at 1,681 points). A file
+whose n is not that grid's size fails to load, as does a version-1 file (an
+(x, y) u32 pair before each descriptor).
 """
 
 from __future__ import annotations
@@ -72,24 +72,37 @@ class GridParams:
 
 @dataclass
 class DescriptorSet:
-    """Per-image grid keypoints with parallel 128-d byte descriptors."""
+    """A ``width`` x ``height`` image's byte descriptors, one per point of its
+    dense ``grid`` in grid order; ``keypoints`` derives the points."""
 
-    keypoints: np.ndarray  # (N, 2) int32, columns (x, y)
     descriptors: np.ndarray  # (N, 128) uint8
+    width: int
+    height: int
+    grid: GridParams
     source_image: str
 
     def __post_init__(self) -> None:
-        if len(self.keypoints) != len(self.descriptors):
-            raise ValueError("keypoints and descriptors must be parallel")
-        if len(self.keypoints) < 1:
-            raise ValueError("descriptor set must contain at least one point")
         if self.descriptors.shape[1] != DESCRIPTOR_DIMS:
             raise ValueError(f"descriptors must have {DESCRIPTOR_DIMS} dims")
         if self.descriptors.dtype != np.uint8:
             raise ValueError("descriptors must be uint8")
+        # counted, not built, so that a damaged cache file's size cannot build a huge grid
+        p, s = self.grid.patch_size, self.grid.stride
+        cols, rows = ((size - p) // s + 1 for size in (self.width, self.height))
+        if min(cols, rows) < 1 or cols * rows != len(self):
+            raise ValueError(f"{len(self)} descriptors for a {self.width}x{self.height} image")
 
     def __len__(self) -> int:
-        return len(self.keypoints)
+        return len(self.descriptors)
+
+    @property
+    def keypoints(self) -> np.ndarray:
+        return dense_grid(self.width, self.height, self.grid)
+
+
+def _check_fits(width: int, height: int, params: GridParams) -> None:
+    if min(width, height) < params.patch_size:
+        raise ValueError(f"image {width}x{height} smaller than one {params.patch_size}-pixel patch")
 
 
 def dense_grid(width: int, height: int, params: GridParams) -> np.ndarray:
@@ -99,11 +112,8 @@ def dense_grid(width: int, height: int, params: GridParams) -> np.ndarray:
     with h = patch_size/2; centers start at (h, h) and advance by the stride
     while the patch still fits.
     """
+    _check_fits(width, height, params)
     h = params.patch_size // 2
-    if width < params.patch_size or height < params.patch_size:
-        raise ValueError(
-            f"image {width}x{height} smaller than one {params.patch_size}-pixel patch"
-        )
     xs = np.arange(h, width - h + 1, params.stride, dtype=np.int32)
     ys = np.arange(h, height - h + 1, params.stride, dtype=np.int32)
     return np.stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))], axis=1)
@@ -116,17 +126,17 @@ def extract_dense_sift(image: Image, params: GridParams, source: str = "") -> De
     so the working set is bounded whatever the image size; every block
     refills one orientation-mass array, which lives for this call only.
     """
-    keypoints = dense_grid(image.width, image.height, params)
+    _check_fits(image.width, image.height, params)
     s = params.patch_size
     # window (r, c) is the patch centered at (c + s/2, r + s/2)
     windows = sliding_window_view(image.pixels, (s, s))[:: params.stride, :: params.stride]
-    n, cols = len(keypoints), windows.shape[1]
+    n = windows.shape[0] * windows.shape[1]
     descriptors = np.empty((n, DESCRIPTOR_DIMS), dtype=np.uint8)
     by_bin = np.empty((min(n, BLOCK_PATCHES), N_ORIENT_BINS, s * s))
     for start in range(0, n, BLOCK_PATCHES):
-        r, c = np.divmod(np.arange(start, min(start + BLOCK_PATCHES, n)), cols)
+        r, c = np.unravel_index(np.arange(start, min(start + BLOCK_PATCHES, n)), windows.shape[:2])
         descriptors[start : start + len(r)] = _describe_patches(windows[r, c], by_bin)
-    return DescriptorSet(keypoints=keypoints, descriptors=descriptors, source_image=source)
+    return DescriptorSet(descriptors, image.width, image.height, params, source)
 
 
 @functools.cache
@@ -263,19 +273,11 @@ def cache_path(cache_dir: str | Path, image_path: str | Path, params: GridParams
     return Path(cache_dir) / f"{digest}.desc"
 
 
-def save_descriptor_cache(path: str | Path, ds: DescriptorSet, params: GridParams,
-                          width: int, height: int) -> None:
-    """Write the set of a ``width`` x ``height`` image as a cache file,
-    replaced atomically. Layout (little-endian, module docstring): magic,
-    version 2, u32 n, dims, stride, patch_size, width, height, then the
-    n x 128 descriptor bytes. Raises ValueError unless ``ds.keypoints`` is
-    ``dense_grid(width, height, params)``, as the file does not store them.
-    """
-    if not np.array_equal(ds.keypoints, dense_grid(width, height, params)):
-        raise ValueError(f"keypoints are not the {width}x{height} image's dense grid")
+def save_descriptor_cache(path: str | Path, ds: DescriptorSet) -> None:
+    """Write ``ds`` as a cache file (version 2, module docstring), replaced atomically."""
     binfile.write(path, CACHE_MAGIC, CACHE_VERSION,
-                  struct.pack("<6I", len(ds), DESCRIPTOR_DIMS, params.stride,
-                              params.patch_size, width, height),
+                  struct.pack("<6I", len(ds), DESCRIPTOR_DIMS, ds.grid.stride,
+                              ds.grid.patch_size, ds.width, ds.height),
                   np.ascontiguousarray(ds.descriptors))
 
 
@@ -284,17 +286,10 @@ def load_descriptor_cache(
 ) -> DescriptorSet:
     reader = binfile.Reader(path, CACHE_MAGIC, CACHE_VERSION, "descriptor cache")
     n, dims, stride, patch, width, height = reader.fields("<6I")
-    if dims != DESCRIPTOR_DIMS:
-        raise ValueError(f"{path}: unexpected descriptor dims {dims}")
     if (stride, patch) != (params.stride, params.patch_size):
-        raise ValueError(
-            f"{path}: cache built with stride={stride}, patch={patch}; "
-            f"requested stride={params.stride}, patch={params.patch_size}"
-        )
-    descriptors = reader.array(np.uint8, n * DESCRIPTOR_DIMS).reshape(n, DESCRIPTOR_DIMS)
-    # counted before dense_grid runs, so a damaged size cannot build a huge grid
-    cols, rows = ((size - patch) // stride + 1 for size in (width, height))
-    if min(cols, rows) < 1 or cols * rows != n:
-        raise ValueError(f"{path}: {n} descriptors for a {width}x{height} image")
-    return DescriptorSet(keypoints=dense_grid(width, height, params),
-                         descriptors=descriptors.copy(), source_image=source_image)
+        raise ValueError(f"{path}: cache built with stride={stride}, patch={patch}, not {params}")
+    descriptors = reader.array(np.uint8, n * dims).reshape(n, dims)
+    try:  # the set checks dims and n, and its errors get the path
+        return DescriptorSet(descriptors.copy(), width, height, params, source_image)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -161,7 +161,7 @@ class DescriptorStore:
 
     Optionally persists per-image cache files so repeated CLI runs skip
     extraction; a cache file that fails to load is re-extracted and
-    rewritten.
+    rewritten, with one WARNING per ``get`` or ``pool`` call.
     """
 
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
@@ -180,10 +180,14 @@ class DescriptorStore:
         extracted first, on image threads (``_on_image_threads``), after the
         extraction kernel's tables are built in this thread; the sets are the
         bytes serial ``get`` calls give. Logs one INFO line: images taken
-        from memory, from the cache and extracted, the grid points extracted
-        and extraction seconds."""
+        from memory, from the cache and extracted (unreadable cache files
+        too), the grid points extracted and extraction seconds."""
         in_memory = sum(manifest.resolve(e) in self._memory for e in manifest.entries)
-        misses = [e for e in manifest.entries if self._stored(manifest, e) is None]
+        unreadable: list[tuple[Path, ValueError]] = []
+        misses = [e for e in manifest.entries if self._stored(manifest, e, unreadable) is None]
+        if unreadable:  # one line, not one per file
+            logger.warning("re-extracting %d images with an unreadable cache file, first %s (%s)",
+                           len(unreadable), *unreadable[0])
         started = time.perf_counter()
         if misses:
             gradient_tables()  # here, so that no two image threads build them
@@ -195,9 +199,10 @@ class DescriptorStore:
                     len(misses), points, seconds)
         return [self.get(manifest, e) for e in manifest.entries]
 
-    def _stored(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet | None:
-        """The entry's set from memory, or from its cache file (then kept in
-        memory); None if neither has it."""
+    def _stored(self, manifest: DatasetManifest, entry: ManifestEntry,
+                unreadable: list | None = None) -> DescriptorSet | None:
+        """The entry's set from memory or its cache file (then kept in memory),
+        else None; a load error is logged, or added to ``unreadable`` if given."""
         path = manifest.resolve(entry)
         ds = self._memory.get(path)
         if ds is not None or self.cache_dir is None:
@@ -208,7 +213,10 @@ class DescriptorStore:
         try:
             ds = load_descriptor_cache(cpath, self.grid, source_image=entry.path)
         except ValueError as err:
-            logger.warning("re-extracting %s: unreadable cache file (%s)", path, err)
+            if unreadable is None:
+                logger.warning("re-extracting %s: unreadable cache file (%s)", path, err)
+            else:
+                unreadable.append((path, err))
             return None
         self._memory[path] = ds
         return ds
@@ -221,8 +229,7 @@ class DescriptorStore:
         if self.cache_dir is not None:
             # made here, so that a run failing its input checks leaves none
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            save_descriptor_cache(cache_path(self.cache_dir, path, self.grid), ds, self.grid,
-                                  image.width, image.height)
+            save_descriptor_cache(cache_path(self.cache_dir, path, self.grid), ds)
         self._memory[path] = ds
         return ds
 
@@ -296,12 +303,12 @@ def confidence_interval(
 ) -> tuple[float, float, float]:
     """Mean with a two-sided Student-t confidence interval.
 
-    Returns (mean, low, high) = mean -/+ t_{1-alpha/2, n-1} * s / sqrt(n)
-    with the sample standard deviation s. Critical values come from the
-    embedded table (df 1..30; a Cornish-Fisher expansion beyond that).
+    Returns (mean, low, high) = mean -/+ t_{1-alpha/2, n-1} * s / sqrt(n),
+    s the sample standard deviation, or (v, v, v) if all n >= 1 values are
+    v. t comes from an embedded table (df 1..30), Cornish-Fisher beyond.
     """
-    if len(values) < 2:
-        raise ValueError("need at least 2 values for a confidence interval")
+    if len(values) < 1:
+        raise ValueError("need at least 1 value for a confidence interval")
     if alpha not in _T_TABLE:
         raise ValueError(f"alpha must be one of {sorted(_T_TABLE)}")
     arr = np.asarray(values, dtype=np.float64)
@@ -439,10 +446,7 @@ def _experiment(
             per_seed.append([run_trial(cb, target, n, seed, params, bows).accuracy
                              for n in n_train_values])
         for n_train, accs in zip(n_train_values, zip(*per_seed)):
-            if len(accs) >= 2:
-                mean, low, high = confidence_interval(accs, params.alpha)
-            else:
-                mean = low = high = accs[0]
+            mean, low, high = confidence_interval(accs, params.alpha)
             rows.append(SummaryRow(
                 experiment, source.name, dict_classes, target.name, n_train, params.k,
                 params.encoding.sigma, params.encoding.assignment, params.encoding.pooling,

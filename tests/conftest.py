@@ -24,13 +24,21 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
+# a (n + 3) x 4 image holds n patches of 4 pixels at stride 1, in one row
+ROW_GRID = GridParams(stride=1, patch_size=4)
+
+
+def grid_set(descriptors: np.ndarray, source: str = "im") -> DescriptorSet:
+    """The set of an image whose dense grid holds one point per row of
+    ``descriptors``."""
+    return DescriptorSet(descriptors, len(descriptors) + 3, 4, ROW_GRID, source)
+
+
 def random_descriptor_set(n: int, seed: int, source: str = "") -> DescriptorSet:
     rng = np.random.default_rng(seed)
-    return DescriptorSet(
-        keypoints=rng.integers(8, 64, (n, 2)).astype(np.int32),
-        descriptors=rng.integers(0, 256, (n, 128)).astype(np.uint8),
-        source_image=source or f"synthetic-{seed}",
-    )
+    rng.integers(8, 64, (n, 2))  # once drawn for keypoints; kept so the bytes stay pinned
+    return grid_set(rng.integers(0, 256, (n, 128)).astype(np.uint8),
+                    source or f"synthetic-{seed}")
 
 
 def describe_patch(pixels: np.ndarray, params: GridParams = GridParams()) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from bovw.codebook import Codebook, build_random_codebook
 from bovw.encoding import EncodingParams, encode_image, soft_assign
-from bovw.features import DescriptorSet, GridParams
+from bovw.features import GridParams
 from bovw.harness import (
     SPLIT_SEED_OFFSET,
     DescriptorStore,
@@ -27,7 +27,7 @@ from bovw.harness import (
 )
 from bovw.synth import generate_preset
 
-from conftest import describe_patch, run_cli
+from conftest import describe_patch, grid_set, run_cli
 from oracles import bow_reference, sift_reference, soft_row
 
 K_DESK = 200
@@ -100,7 +100,7 @@ def test_criterion_2_pooling_oracle_equivalence():
             base = words[int(rng.integers(0, k))].astype(np.int64)
             noise = rng.integers(-10, 11, 128)
             pts[i] = np.clip(base + noise, 0, 255).astype(np.uint8)
-        ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "inst")
+        ds = grid_set(pts, "inst")
         cb = Codebook(words=words, source_name="t", source_classes=(), seed=0)
         for assignment, pooling in (("soft", "max"), ("hard", "average")):
             params = EncodingParams(sigma=60.0, assignment=assignment, pooling=pooling)

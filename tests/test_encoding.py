@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -17,9 +18,9 @@ from bovw.encoding import (
     soft_assign,
     word_plan,
 )
-from bovw.features import DESCRIPTOR_DIMS, DescriptorSet
+from bovw.features import DESCRIPTOR_DIMS
 
-from conftest import random_descriptor_set
+from conftest import grid_set, random_descriptor_set
 from oracles import bow_reference, hard_assign, soft_row
 
 profiles = st.lists(
@@ -129,7 +130,7 @@ class TestHardAssign:
 
 
 def encode_points(pts, words, assignment="soft", pooling="max") -> np.ndarray:
-    ds = DescriptorSet(np.zeros((len(pts), 2), np.int32), np.asarray(pts, np.uint8), "im")
+    ds = grid_set(np.asarray(pts, np.uint8))
     params = EncodingParams(sigma=60.0, assignment=assignment, pooling=pooling)
     return encode_image(ds, make_codebook(np.asarray(words)), params).h
 
@@ -195,7 +196,7 @@ class TestPooling:
     def test_empty_rejected(self):
         # an image without points never reaches pooling
         with pytest.raises(ValueError):
-            DescriptorSet(np.zeros((0, 2), np.int32), np.zeros((0, 128), np.uint8), "im")
+            grid_set(np.zeros((0, 128), np.uint8))
 
     @settings(max_examples=60)
     @given(
@@ -225,11 +226,7 @@ class TestEncodeImage:
         words = rng.integers(0, 256, (4, 128)).astype(np.uint8)
         cb = make_codebook(words)
         picks = [0, 0, 2, 3, 3, 3]
-        ds = DescriptorSet(
-            keypoints=np.zeros((6, 2), np.int32),
-            descriptors=words[picks],
-            source_image="im",
-        )
+        ds = grid_set(words[picks])
         bow = encode_image(ds, cb, EncodingParams(assignment="hard", pooling="average"))
         assert bow.h == pytest.approx([2 / 6, 0.0, 1 / 6, 3 / 6])
 
@@ -241,7 +238,7 @@ class TestEncodeImage:
             n, k = int(rng.integers(1, 8)), int(rng.integers(1, 6))
             pts = rng.integers(0, 256, (n, 128)).astype(np.uint8)
             words = rng.integers(0, 256, (k, 128)).astype(np.uint8)
-            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            ds = grid_set(pts)
             got = encode_image(ds, make_codebook(words),
                                EncodingParams(sigma=60.0, assignment=assignment, pooling=pooling))
             want = bow_reference(pts, words, 60.0, assignment, pooling)
@@ -258,7 +255,7 @@ class TestEncodeImage:
             sigma = float(rng.uniform(5.0, 200.0))
             pts = rng.integers(0, 256, (n, 128)).astype(np.uint8)
             words = rng.integers(0, 256, (k, 128)).astype(np.uint8)
-            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            ds = grid_set(pts)
             got = encode_image(ds, make_codebook(words),
                                EncodingParams(sigma=sigma, assignment=assignment, pooling=pooling))
             want = pooled_reference(exact_d2(pts, words), assignment, pooling, sigma, False)
@@ -286,11 +283,7 @@ class TestEncodeImage:
     def test_point_order_irrelevant(self):
         rng = np.random.default_rng(8)
         ds = random_descriptor_set(25, 9)
-        shuffled = DescriptorSet(
-            keypoints=ds.keypoints,
-            descriptors=ds.descriptors[rng.permutation(25)],
-            source_image=ds.source_image,
-        )
+        shuffled = dataclasses.replace(ds, descriptors=ds.descriptors[rng.permutation(25)])
         words = rng.integers(0, 256, (7, 128))
         for pooling in ("max", "average"):
             params = EncodingParams(pooling=pooling)
@@ -303,10 +296,10 @@ class TestEncodeImage:
         rng = np.random.default_rng(10)
         pts = rng.integers(0, 256, (1100, 128)).astype(np.uint8)
         words = rng.integers(0, 256, (4, 128)).astype(np.uint8)
-        ds = DescriptorSet(np.zeros((1100, 2), np.int32), pts, "big")
+        ds = grid_set(pts, "big")
         got = encode_image(ds, make_codebook(words), EncodingParams())
         sub = [
-            encode_image(DescriptorSet(np.zeros((1, 2), np.int32), pts[i : i + 1], "p"),
+            encode_image(grid_set(pts[i : i + 1], "p"),
                          make_codebook(words), EncodingParams()).h
             for i in range(1100)
         ]
@@ -322,7 +315,7 @@ class TestEncodeImage:
         # 128 dims are enforced on both sides of the encoder
         ds = random_descriptor_set(3, 13)
         with pytest.raises(ValueError, match="dims"):
-            DescriptorSet(ds.keypoints, ds.descriptors[:, :64].copy(), "im")
+            dataclasses.replace(ds, descriptors=ds.descriptors[:, :64].copy())
         with pytest.raises(ValueError):
             make_codebook(np.zeros((2, 64)))
 
@@ -337,7 +330,7 @@ def test_float32_distances_are_exact_for_byte_descriptors():
 
 def test_descriptors_must_be_bytes():
     with pytest.raises(ValueError, match="uint8"):
-        DescriptorSet(np.zeros((1, 2), np.int32), np.full((1, 128), 256, np.int64), "im")
+        grid_set(np.full((1, 128), 256, np.int64))
 
 
 def extreme_bytes(n: int, seed: int) -> np.ndarray:
@@ -368,7 +361,7 @@ class TestExactKernel:
     def test_bit_identical_at_k1000(self, cases, assignment, pooling, l2_normalize):
         cb = make_codebook(self.WORDS)
         for n, (pts, d2) in cases.items():
-            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            ds = grid_set(pts)
             for sigma in (60.0, 7.5):
                 params = EncodingParams(sigma, assignment, pooling, l2_normalize)
                 want = pooled_reference(d2, assignment, pooling, sigma, l2_normalize)
@@ -383,7 +376,7 @@ class TestExactKernel:
         for assignment, pooling in (("soft", "max"), ("hard", "average")):
             params = EncodingParams(assignment=assignment, pooling=pooling)
             for pts, cb in calls:
-                ds = DescriptorSet(np.zeros((len(pts), 2), np.int32), pts, "im")
+                ds = grid_set(pts)
                 want = pooled_reference(exact_d2(pts, cb.words), assignment, pooling, 60.0, False)
                 assert np.array_equal(encode_image(ds, cb, params).h, want)
 
@@ -394,7 +387,7 @@ class TestExactKernel:
         plan = word_plan(cb)
         params = EncodingParams(assignment=assignment, pooling=pooling)
         for n, (pts, _) in cases.items():
-            ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+            ds = grid_set(pts)
             assert np.array_equal(encode_image(ds, cb, params, plan).h,
                                   encode_image(ds, cb, params).h), n
         # image threads share the plan, so nothing may write it
@@ -402,7 +395,7 @@ class TestExactKernel:
 
     def test_plan_of_another_codebook_rejected(self, cases):
         plan = word_plan(make_codebook(self.WORDS))
-        ds = DescriptorSet(np.zeros((1, 2), np.int32), cases[1][0], "im")
+        ds = grid_set(cases[1][0])
         # equal words in another Codebook object are another codebook too
         for cb in (make_codebook(extreme_bytes(7, 21)), make_codebook(self.WORDS)):
             with pytest.raises(ValueError, match="another codebook"):
@@ -425,7 +418,7 @@ class TestChunkSize:
         for k in (1, 2, 3, 1000):
             cb = make_codebook(TestExactKernel.WORDS[:k])
             for n, pts in cases:
-                ds = DescriptorSet(np.zeros((n, 2), np.int32), pts, "im")
+                ds = grid_set(pts)
                 for sigma in (60.0, 7.5):
                     params = EncodingParams(sigma, assignment, pooling, l2_normalize)
                     got = []
@@ -441,7 +434,7 @@ class TestChunkSize:
         for words in (TestExactKernel.WORDS, extreme_bytes(3, 22)):
             cb = make_codebook(words)
             for n in (1, 81, 512, 513):
-                ds = DescriptorSet(np.zeros((n, 2), np.int32), extreme_bytes(n, n), "im")
+                ds = grid_set(extreme_bytes(n, n))
                 for sigma in (60.0, 7.5):
                     for l2_normalize in (False, True):
                         params = EncodingParams(sigma, "soft", "average", l2_normalize)

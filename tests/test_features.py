@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -294,12 +295,36 @@ class TestGradientTables:
                 table[0] = 1
 
 
+class TestDescriptorSet:
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_count_that_is_not_the_grid_raises(self, n):
+        # a 40x28 image holds 5 x 3 points
+        with pytest.raises(ValueError, match=f"{n} descriptors for a 40x28 image"):
+            DescriptorSet(np.zeros((n, 128), np.uint8), 40, 28, GridParams(), "x.pgm")
+
+    def test_points_are_derived_not_stored(self, tmp_path):
+        params = GridParams(stride=5)
+        extracted = extract_dense_sift(random_image(41, 30, 7), params)
+        save_descriptor_cache(tmp_path / "x.desc", extracted)
+        loaded = load_descriptor_cache(tmp_path / "x.desc", params)
+        built = DescriptorSet(extracted.descriptors, 41, 30, params, "x.pgm")
+        for ds in (extracted, loaded, built):
+            assert "keypoints" not in vars(ds)
+            assert ds.keypoints.dtype == np.int32
+            assert np.array_equal(ds.keypoints, dense_grid(41, 30, params))
+            assert len(ds) == len(ds.keypoints) == 6 * 3
+
+    def test_image_smaller_than_a_patch_raises(self):
+        with pytest.raises(ValueError, match="image 15x20 smaller than one 16-pixel patch"):
+            extract_dense_sift(random_image(15, 20), GridParams())
+
+
 class TestDescriptorCache:
     def test_round_trip(self, tmp_path):
         params = GridParams()
         ds = extract_dense_sift(random_image(48, 48, 5), params, source="x.pgm")
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, ds, params, 48, 48)
+        save_descriptor_cache(path, ds)
         back = load_descriptor_cache(path, params, source_image="x.pgm")
         assert np.array_equal(back.keypoints, ds.keypoints)
         assert np.array_equal(back.descriptors, ds.descriptors)
@@ -309,46 +334,30 @@ class TestDescriptorCache:
         params = GridParams()
         ds = extract_dense_sift(random_image(32, 32, 6), params)
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, ds, params, 32, 32)
+        save_descriptor_cache(path, ds)
         with pytest.raises(ValueError, match="stride"):
             load_descriptor_cache(path, GridParams(stride=8))
 
     def test_layout_matches_docstring(self, tmp_path):
         # the documented version-2 layout, built field by field with struct
         params = GridParams(stride=5, patch_size=12)
-        keypoints = dense_grid(23, 17, params)  # 3 columns x 2 rows
         descriptors = (np.arange(6 * 128) % 251).astype(np.uint8).reshape(6, 128)
         want = b"BVWD" + struct.pack("<7I", 2, 6, 128, 5, 12, 23, 17) + descriptors.tobytes()
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, DescriptorSet(keypoints, descriptors, "x.pgm"), params, 23, 17)
+        # a 23x17 image holds 3 columns x 2 rows
+        save_descriptor_cache(path, DescriptorSet(descriptors, 23, 17, params, "x.pgm"))
         assert path.read_bytes() == want
         back = load_descriptor_cache(path, params)
         assert back.keypoints.dtype == np.int32
-        assert np.array_equal(back.keypoints, keypoints)
+        assert np.array_equal(back.keypoints, dense_grid(23, 17, params))
         assert np.array_equal(back.descriptors, descriptors)
         assert back.descriptors.flags.c_contiguous and back.descriptors.flags.writeable
 
     def test_file_size_of_a_256_square_image(self, tmp_path):
-        params = GridParams()
-        keypoints = dense_grid(256, 256, params)
-        descriptors = np.zeros((len(keypoints), 128), np.uint8)
+        descriptors = np.zeros((1681, 128), np.uint8)
         path = tmp_path / "x.desc"
-        save_descriptor_cache(path, DescriptorSet(keypoints, descriptors, ""), params, 256, 256)
-        assert len(keypoints) == 1681
+        save_descriptor_cache(path, DescriptorSet(descriptors, 256, 256, GridParams(), ""))
         assert path.stat().st_size == 32 + 128 * 1681 == 215_200
-
-    @pytest.mark.parametrize("keypoints", [
-        pytest.param(lambda grid: grid[::-1].copy(), id="reordered"),
-        pytest.param(lambda grid: grid + 1, id="shifted"),
-        pytest.param(lambda grid: grid[:-1], id="short"),
-    ])
-    def test_saving_a_set_that_is_not_the_grid_raises(self, tmp_path, keypoints):
-        params = GridParams()
-        kps = keypoints(dense_grid(40, 28, params))
-        ds = DescriptorSet(kps, np.zeros((len(kps), 128), np.uint8), "x.pgm")
-        with pytest.raises(ValueError, match="not the 40x28 image's dense grid"):
-            save_descriptor_cache(tmp_path / "x.desc", ds, params, 40, 28)
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("width, height", [(40, 34), (34, 40), (46, 28), (15, 1000),
                                                (0, 0), (2**32 - 1, 28), (40, 2**32 - 1)])
@@ -360,6 +369,13 @@ class TestDescriptorCache:
         path.write_bytes(b"BVWD" + struct.pack("<I", 2) + header + bytes(15 * 128))
         with pytest.raises(ValueError, match=f"15 descriptors for a {width}x{height} image"):
             load_descriptor_cache(path, params)
+
+    def test_dims_other_than_128_raise(self, tmp_path):
+        # a whole 64-dim file of one 16x16 patch: the set's dims check names the file
+        path = tmp_path / "x.desc"
+        path.write_bytes(b"BVWD" + struct.pack("<7I", 2, 1, 64, 6, 16, 16, 16) + bytes(64))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: descriptors must have 128 dims")):
+            load_descriptor_cache(path, GridParams())
 
     def test_version_1_file_raises(self, tmp_path):
         # version 1 stored an (x, y) u32 pair before each descriptor

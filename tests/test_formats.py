@@ -16,7 +16,7 @@ from bovw.classifier import MODEL_MAGIC, MODEL_VERSION, LinearModel, load_model,
 from bovw.codebook import (CODEBOOK_MAGIC, CODEBOOK_VERSION, Codebook, load_codebook,
                            save_codebook)
 from bovw.encoding import BOW_MAGIC, BOW_VERSION, load_bows, save_bows
-from bovw.features import (CACHE_MAGIC, CACHE_VERSION, GridParams, dense_grid,
+from bovw.features import (CACHE_MAGIC, CACHE_VERSION, DescriptorSet, GridParams,
                            load_descriptor_cache, save_descriptor_cache)
 
 from conftest import random_descriptor_set
@@ -25,8 +25,7 @@ from conftest import random_descriptor_set
 def save_cache(path):
     # a 22x16 image holds two 16-pixel patches at stride 6
     ds = random_descriptor_set(2, 0)
-    ds.keypoints = dense_grid(22, 16, GridParams())
-    save_descriptor_cache(path, ds, GridParams(), 22, 16)
+    save_descriptor_cache(path, DescriptorSet(ds.descriptors, 22, 16, GridParams(), ""))
 
 
 def save_codebook_file(path):

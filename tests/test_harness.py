@@ -113,9 +113,12 @@ class TestConfidenceInterval:
         assert low == pytest.approx(-0.3553, abs=1e-3)
         assert high == pytest.approx(0.7553, abs=1e-3)
 
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            confidence_interval([0.5])
+    def test_one_value_is_its_own_interval(self):
+        assert confidence_interval([0.5]) == (0.5, 0.5, 0.5)
+
+    def test_needs_a_value(self):
+        with pytest.raises(ValueError, match="at least 1 value"):
+            confidence_interval([])
 
     def test_unsupported_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -511,6 +514,25 @@ class TestDescriptorStore:
         assert len(warnings) == 1 and "re-extracting" in warnings[0].getMessage()
         assert cpath.read_bytes() == data
         assert np.array_equal(load_descriptor_cache(cpath, grid).descriptors, fresh.descriptors)
+
+    def test_one_warning_per_pool(self, micro_corpus, tmp_path, caplog):
+        grid, entries = GridParams(), micro_corpus.entries
+        caplog.set_level(logging.INFO, logger="bovw.harness")
+        DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
+        damaged = [cache_path(tmp_path, micro_corpus.resolve(e), grid) for e in entries[3:6]]
+        for cpath, damage in zip(damaged, ["cut", "size", "version1"]):
+            cpath.write_bytes(self.damaged(cpath.read_bytes(), damage))
+        caplog.clear()
+        DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            f"re-extracting 3 images with an unreadable cache file, first "
+            f"{micro_corpus.resolve(entries[3])} ({damaged[0]}: ")
+        # the INFO line counts them among the extracted; 48x48 images hold 6x6 points
+        info = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("pool "))
+        assert info.startswith(f"pool micro: 0 from memory, {len(micro_corpus) - 3} from cache, "
+                               "3 extracted (108 points)")
 
 
 class TestPool:
