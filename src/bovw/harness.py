@@ -28,6 +28,7 @@ from .codebook import Codebook, build_random_codebook, check_pool_size
 from .corpus import DatasetManifest, ManifestEntry, image_size, load_image, select_classes
 from .encoding import CHUNK_ROWS, EncodingParams, encode_image, word_plan
 from .features import (
+    BLOCK_PATCHES,
     DescriptorSet,
     GridParams,
     cache_path,
@@ -35,6 +36,7 @@ from .features import (
     extract_dense_sift,
     gradient_tables,
     load_descriptor_cache,
+    patch_tables,
     save_descriptor_cache,
 )
 
@@ -167,6 +169,10 @@ class DescriptorStore:
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
         self.grid = grid
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        if self.cache_dir is not None:  # a file in its way fails before any extraction
+            existing = next(p for p in (self.cache_dir, *self.cache_dir.parents) if p.exists())
+            if not existing.is_dir():
+                raise ValueError(f"cache directory {self.cache_dir}: {existing} is not a directory")
         self._memory: dict[Path, DescriptorSet] = {}
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
@@ -191,6 +197,7 @@ class DescriptorStore:
         started = time.perf_counter()
         if misses:
             gradient_tables()  # here, so that no two image threads build them
+            patch_tables(self.grid.patch_size, BLOCK_PATCHES)
             _on_image_threads(lambda e: self._extract(manifest, e), misses)
         seconds = time.perf_counter() - started
         points = sum(len(self._memory[manifest.resolve(e)]) for e in misses)
@@ -351,9 +358,10 @@ def _on_image_threads(fn, jobs: Sequence, threaded: bool = True) -> None:
     """Call ``fn`` on every job: on one thread per core, with the BLAS
     library pinned to one thread meanwhile and its thread count restored
     afterwards, also on an error (the first job's exception, in job order, is
-    raised). A plain loop in the calling thread instead when ``threaded`` is
-    false, on one core or for one job, or when BLAS threads cannot be pinned
-    (unpinned image threads were slower than the loop)."""
+    raised, and ``Executor.map`` cancels every job still queued then). A plain
+    loop in the calling thread instead when ``threaded`` is false, on one
+    core or for one job, or when BLAS threads cannot be pinned (unpinned
+    image threads were slower than the loop)."""
     workers = min(_cores(), len(jobs))
     blas = _openblas_threads() if threaded and workers > 1 else None
     if blas is None:

@@ -24,6 +24,15 @@ from conftest import describe_patch
 from oracles import describe_patches_per_bin, grid_centers, sift_reference
 
 
+def step_edge_stack():
+    """Four 16x16 float patches: a bright stripe on a floor of signed zeros,
+    mirrored, transposed and negated."""
+    floor = np.where((np.arange(16) // 2) % 2 == 0, 0.0, -0.0)
+    patch = np.repeat(floor[:, np.newaxis], 16, axis=1)
+    patch[:, 6:10] = 200.0
+    return np.stack([patch, patch[:, ::-1], patch.T, -patch])
+
+
 def random_image(width, height, seed=0):
     rng = np.random.default_rng(seed)
     return Image(pixels=rng.integers(0, 256, (height, width)).astype(np.uint8))
@@ -198,10 +207,11 @@ class TestBlockedKernel:
         assert np.array_equal(ds.descriptors, self.per_bin(texture, params))
 
     @pytest.mark.parametrize("patch", [8, 12, 16, 20])
-    @pytest.mark.parametrize("count", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("count", sorted({1, 255, 256, 257, 513, BLOCK_PATCHES - 1,
+                                              BLOCK_PATCHES, BLOCK_PATCHES + 1,
+                                              2 * BLOCK_PATCHES + 1}))
     def test_patch_counts_around_the_block_size(self, texture, patch, count):
         # one row of `count` patches at stride 1, cut from the texture tiled sideways
-        assert BLOCK_PATCHES == 256
         pixels = np.tile(texture, (1, 3))[:patch, : patch - 1 + count]
         params = GridParams(stride=1, patch_size=patch)
         ds = extract_dense_sift(Image(pixels=pixels), params)
@@ -212,15 +222,13 @@ class TestBlockedKernel:
         # a bright stripe on a floor of signed zeros: left of it gx > 0, right
         # of it gx < 0, and gy is -0.0 or +0.0, so theta takes -0.0, +0.0,
         # -pi and +pi
-        floor = np.where((np.arange(16) // 2) % 2 == 0, 0.0, -0.0)
-        patch = np.repeat(floor[:, np.newaxis], 16, axis=1)
-        patch[:, 6:10] = 200.0
+        patches = step_edge_stack()
+        patch = patches[0]
         padded = np.pad(patch, 1, mode="edge")
         theta = np.arctan2((padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0,
                            (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0)
         assert {np.pi, -np.pi} <= set(theta.ravel().tolist())
         assert np.signbit(theta[theta == 0.0]).any() and not np.signbit(theta[theta == 0.0]).all()
-        patches = np.stack([patch, patch[:, ::-1], patch.T, -patch])
         assert np.array_equal(features._describe_patches(patches),
                               describe_patches_per_bin(patches))
 
@@ -230,16 +238,26 @@ class TestBlockedKernel:
         assert np.array_equal(extract_dense_sift(Image(pixels=pixels), params).descriptors,
                               self.per_bin(pixels, params))
 
+    @pytest.mark.parametrize("block", [1, 7, 128, 256])
+    def test_bytes_do_not_depend_on_the_block_size(self, texture, monkeypatch, block):
+        monkeypatch.setattr(features, "BLOCK_PATCHES", block)
+        params = GridParams()
+        ds = extract_dense_sift(Image(pixels=texture), params)
+        assert np.array_equal(ds.descriptors, self.per_bin(texture, params))
+        patches = step_edge_stack()
+        assert np.array_equal(features._describe_patches(patches),
+                              describe_patches_per_bin(patches))
+
 
 class TestReusedMassArray:
     """Every block of an image refills one orientation-mass array, so no
     block may see the masses an earlier block left in it."""
 
-    @pytest.mark.parametrize("count", [257, 513])
+    @pytest.mark.parametrize("count", sorted({257, 513, BLOCK_PATCHES + 1,
+                                              2 * BLOCK_PATCHES + 1}))
     def test_flat_patch_after_a_textured_block_is_zero(self, count):
         # one row of `count` patches at stride 1; the first patch of each
         # later block is flat, while the first patch of the first is not
-        assert BLOCK_PATCHES == 256
         texture = render_texture(textures8_specs()[4], 256, np.random.default_rng(14)).pixels
         pixels = np.tile(texture, (1, 3))[:16, : 15 + count].copy()
         firsts = range(BLOCK_PATCHES, count, BLOCK_PATCHES)
@@ -254,10 +272,7 @@ class TestReusedMassArray:
 
     def test_prefilled_array_gives_the_fresh_array_bytes(self):
         # the step-edge stack of TestBlockedKernel, through arrays larger than it
-        floor = np.where((np.arange(16) // 2) % 2 == 0, 0.0, -0.0)
-        patch = np.repeat(floor[:, np.newaxis], 16, axis=1)
-        patch[:, 6:10] = 200.0
-        patches = np.stack([patch, patch[:, ::-1], patch.T, -patch])
+        patches = step_edge_stack()
         garbage = np.random.default_rng(2).uniform(-1e3, 1e3, (7, 8, 256))
         fresh = features._describe_patches(patches)
         assert fresh.any()
@@ -293,6 +308,30 @@ class TestGradientTables:
         for table in features.gradient_tables():
             with pytest.raises(ValueError):
                 table[0] = 1
+
+
+class TestPatchTables:
+    @pytest.mark.parametrize("patch", [4, 8, 12, 16, 20])
+    def test_tables_are_the_inline_formulas(self, patch):
+        # the formulas _describe_patches evaluated per block before the tables
+        s, cs, npix, n = patch, patch // 4, patch * patch, 5
+        center, sigma_w = (s - 1) / 2.0, s / 2.0
+        coords = np.arange(s, dtype=np.float64)
+        g1d = np.exp(-((coords - center) ** 2) / (2.0 * sigma_w**2))
+        cell_coord = (coords - (cs - 1) / 2.0) / cs
+        i0 = np.floor(cell_coord).astype(np.intp)[:, np.newaxis]
+        fr = (cell_coord - np.floor(cell_coord))[:, np.newaxis]
+        cells = np.arange(4)
+        axis_w = np.where(cells == i0, 1.0 - fr, 0.0) + np.where(cells == i0 + 1, fr, 0.0)
+        gauss, spatial, base = features.patch_tables(patch, n)
+        assert np.array_equal(gauss, g1d[:, np.newaxis] * g1d[np.newaxis, :])
+        assert np.array_equal(spatial, np.kron(axis_w, axis_w))
+        assert np.array_equal(base, (np.arange(n) * (8 * npix))[:, np.newaxis] + np.arange(npix))
+
+    def test_tables_are_read_only(self):
+        for table in features.patch_tables(16, BLOCK_PATCHES):
+            with pytest.raises(ValueError):
+                table.flat[0] = 1
 
 
 class TestDescriptorSet:

@@ -7,6 +7,7 @@ import shutil
 import struct
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -34,6 +35,7 @@ from bovw.features import (
     extract_dense_sift,
     gradient_tables,
     load_descriptor_cache,
+    patch_tables,
 )
 import bovw.harness
 from bovw.harness import (
@@ -657,23 +659,60 @@ class TestPool:
         real, built = bovw.harness.extract_dense_sift, []
 
         def traced(*args, **kwargs):
-            built.append(gradient_tables.cache_info().currsize)
+            built.append((gradient_tables.cache_info().currsize,
+                          patch_tables.cache_info().currsize))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bovw.harness, "extract_dense_sift", traced)
         gradient_tables.cache_clear()
+        patch_tables.cache_clear()
         DescriptorStore(GridParams()).pool(micro_corpus)
-        assert built == [1] * len(micro_corpus)
+        assert built == [(1, 1)] * len(micro_corpus)
         assert gradient_tables.cache_info().misses == 1
+        assert patch_tables.cache_info().misses == 1
 
     def test_warm_pool_and_encoding_build_no_tables(self, micro_corpus, tmp_path):
         grid = GridParams()
         DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
         gradient_tables.cache_clear()
+        patch_tables.cache_clear()
         sets = DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)
         cb = build_random_codebook(sets, 12, seed=0)
         encode_rows(np.empty((len(sets), cb.k)), sets, cb, EncodingParams())
         assert gradient_tables.cache_info().currsize == 0
+        assert patch_tables.cache_info().currsize == 0
+
+    def test_file_in_the_way_of_the_cache_dir_fails_before_any_extraction(
+            self, micro_corpus, tmp_path, extractions):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        for cache in (afile, afile / "sub"):
+            with pytest.raises(ValueError) as info:
+                DescriptorStore(GridParams(), cache_dir=cache).pool(micro_corpus)
+            assert str(info.value) == f"cache directory {cache}: {afile} is not a directory"
+        assert extractions == []
+        assert afile.read_text() == "not a directory\n"
+
+    def test_no_queued_job_starts_after_a_failure(self, monkeypatch):
+        # BLAS threads are faked, so the jobs run on threads on any machine
+        threads = [4]
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
+        monkeypatch.setattr(bovw.harness, "_openblas_threads",
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+        errors, started = [OSError("first in job order"), OSError("first in time")], []
+
+        def job(i):
+            started.append(i)
+            if i < 2:  # job 0 fails after job 1, while job 1's thread takes more jobs
+                time.sleep(0.05 * (1 - i))
+                raise errors[i]
+            time.sleep(0.005)
+
+        with pytest.raises(OSError) as info:
+            bovw.harness._on_image_threads(job, range(50))
+        assert info.value is errors[0]
+        assert len(started) < 25
+        assert threads == [4]
 
     def test_logs_where_each_pool_came_from(self, micro_corpus, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="bovw.harness")
@@ -1059,6 +1098,23 @@ class TestCli:
         assert out.stderr.count("\n") == 1 and message in out.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.csv"]
         assert foreign.read_text() == "a,b,c\n1,2,3\n"
+
+    @pytest.mark.parametrize("argv", [
+        "extract --manifest {m}",
+        "crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs 2 --out {t}/res.csv",
+    ], ids=["extract", "crossbase"])
+    def test_cache_dir_that_is_a_file_fails_before_any_extraction(self, tmp_path, micro_corpus,
+                                                                  argv):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        manifest = micro_corpus.base_dir / "micro.manifest"
+        argv = [a.format(m=manifest, t=tmp_path) for a in argv.split()]
+        out = run_cli(*argv, "--cache-dir", str(afile))
+        assert out.returncode == 2
+        assert out.stderr == (f"bovw {argv[0]}: error: cache directory {afile}: "
+                              f"{afile} is not a directory\n")
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("argv", [
         "crossbase --source {t}/nope.manifest --target {m} --ntrain 3 --out {t}/res.csv",
