@@ -43,7 +43,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     _add_encoding_flags(p)
     p.add_argument("--k", type=_positive, default=1000, help="dictionary size")
-    p.add_argument("--runs", type=int, default=5, help="repetitions per configuration")
+    p.add_argument("--runs", type=_positive, default=5, help="repetitions per configuration")
     p.add_argument("--seed", type=_seed, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--alpha", type=float, default=0.05, help="confidence level")
     p.add_argument("--c-reg", type=float, default=1.0, help="SVM regularization C")

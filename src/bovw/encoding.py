@@ -27,18 +27,17 @@ hard/average on 160 images of 81 points, ``encode_rows`` took 65-70 ms
 with a build per image and 42-47 ms with one plan (2 vCPUs; medians of two
 runs over 35 dictionaries each).
 
-Points stream through in chunks of CHUNK_ROWS = 192 rows, so working
-memory is bounded by chunk x k, and every mode gives the same bits at any
-chunk size. Each row's weights are computed within that row; what crosses
-rows is an exact maximum, an integer count, or soft average's running sum
-in point order (the accumulator is added into a chunk's first row, then the
-chunk is summed over its rows into it). numpy sums pairwise only along the
-fast axis, so a C-contiguous (b, k) chunk with k >= 2 is summed row by row;
-at k = 1 every soft row is 1.0, so any order gives the same integer. At
-1,681 points and k=1000, soft average's numpy peak per call fell from 6.18
-MiB (512-row chunks) to 2.36 MiB. On 2 vCPUs, crossbase-warm's peak RSS
-read 50.8 MiB with 256-row chunks, 49.3 with 192 and 49.5 with a serial
-512-row loop; 192 rows encoded as fast as 256, and 128 rows ~8% slower.
+Points stream through in float32 GEMM chunks of CHUNK_ROWS = 192 rows, whose
+soft rows are weighed and pooled in float64 slices of SLICE_ROWS = 48, so
+memory is bounded by chunk x k and every mode gives the same bits at any
+size of either. A row's weights are computed within that row; what crosses
+rows is an exact maximum, an integer count, or soft average's running sum in
+point order (the accumulator is added into a slice's first row, then the
+slice is summed over its rows into it). numpy sums pairwise only along the
+fast axis, so a C-contiguous (b, k) slice with k >= 2 is summed row by row;
+at k = 1 every soft row is 1.0, so any order gives the same integer. At 1,681
+points and k=1000 a soft call peaks at 1.27 MiB of numpy allocations (2.36 in
+192-row float64 chunks), for about 1% more crossbase-warm wall time (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -59,8 +58,9 @@ from .features import DescriptorSet
 BOW_MAGIC = b"BVWB"
 BOW_VERSION = 1
 
-# points per streamed chunk; every mode is exact at any size (module docstring)
+# points per float32 GEMM chunk, and per float64 slice of its soft rows (module docstring)
 CHUNK_ROWS = 192
+SLICE_ROWS = 48
 
 ASSIGNMENTS = ("soft", "hard")
 POOLINGS = ("max", "average")
@@ -109,15 +109,15 @@ def soft_assign(d2: np.ndarray, sigma: float) -> np.ndarray:
     """
     _check_sigma(sigma)
     d2 = np.array(d2, dtype=np.float64)
+    d2 -= d2.min(axis=-1, keepdims=True)
     return _soft_rows(d2, sigma, out=d2)
 
 
 def _soft_rows(d2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
-    """``soft_assign``'s arithmetic, in place: the row minimum is subtracted
-    from ``d2`` in its own dtype, then the float64 weights go to ``out``.
-    A per-row constant in ``d2`` cancels in the first step, exactly so for
-    the integer-valued float32 rows ``encode_image`` passes."""
-    d2 -= d2.min(axis=-1, keepdims=True)
+    """``soft_assign``'s float64 weights, written to ``out``, of rows ``d2``
+    whose minimum was subtracted in their own dtype. A per-row constant in
+    ``d2`` cancels in that step, exactly so for the integer-valued float32
+    rows of a chunk, which ``encode_image`` shifts before slicing them."""
     np.multiply(d2, -1.0 / (2.0 * sigma * sigma), out=out, dtype=np.float64)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
@@ -152,9 +152,9 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
     so the full N x k assignment matrix is never materialized. Each chunk's
     ``w^2 - 2 p.w`` (the squared distance less the per-point constant p^2)
     is one float32 GEMM, exact as explained in the module docstring. Soft
-    rows are pooled per chunk into a running maximum or point-order sum;
-    hard assignment keeps only each point's nearest word (the lowest index
-    on a tie) and pools the word counts at the end.
+    rows are pooled per slice of a chunk into a running maximum or
+    point-order sum; hard assignment keeps only each point's nearest word
+    (the lowest index on a tie) and pools the word counts at the end.
 
     ``plan`` is ``word_plan(cb)``, built here when None; a plan built from
     another codebook raises ValueError.
@@ -172,7 +172,7 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
     part = np.empty((m, k), dtype=np.float32)
     soft = params.assignment == "soft"
     if soft:
-        rows = np.empty((m, k), dtype=np.float64)
+        rows = np.empty((min(m, SLICE_ROWS), k), dtype=np.float64)
         acc = np.zeros(k, dtype=np.float64)
     else:
         nearest = np.empty(n, dtype=np.intp)
@@ -186,12 +186,14 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
         if not soft:
             np.argmin(d, axis=-1, out=nearest[start : start + b])
             continue
-        r = _soft_rows(d, params.sigma, out=rows[:b])
-        if params.pooling == "max":
-            np.maximum(acc, r.max(axis=0), out=acc)
-        else:
-            r[0] += acc  # a running sum in point order (module docstring)
-            np.sum(r, axis=0, out=acc)
+        d -= d.min(axis=-1, keepdims=True)
+        for piece in (d[lo : lo + SLICE_ROWS] for lo in range(0, b, SLICE_ROWS)):
+            r = _soft_rows(piece, params.sigma, out=rows[: len(piece)])
+            if params.pooling == "max":
+                np.maximum(acc, r.max(axis=0), out=acc)
+            else:
+                r[0] += acc  # a running sum in point order (module docstring)
+                np.sum(r, axis=0, out=acc)
 
     if not soft:
         counts = np.bincount(nearest, minlength=k)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,17 @@ def random_descriptor_set(n: int, seed: int, source: str = "") -> DescriptorSet:
     rng.integers(8, 64, (n, 2))  # once drawn for keypoints; kept so the bytes stay pinned
     return grid_set(rng.integers(0, 256, (n, 128)).astype(np.uint8),
                     source or f"synthetic-{seed}")
+
+
+def peak_mib(call) -> float:
+    """The peak of the memory allocated during ``call()``, in MiB, as
+    ``tracemalloc`` traces it; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def describe_patch(pixels: np.ndarray, params: GridParams = GridParams()) -> np.ndarray:

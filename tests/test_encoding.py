@@ -20,7 +20,7 @@ from bovw.encoding import (
 )
 from bovw.features import DESCRIPTOR_DIMS
 
-from conftest import grid_set, random_descriptor_set
+from conftest import grid_set, peak_mib, random_descriptor_set
 from oracles import bow_reference, hard_assign, soft_row
 
 profiles = st.lists(
@@ -441,6 +441,65 @@ class TestChunkSize:
                         digest.update(encode_image(ds, cb, params).h.tobytes())
         assert digest.hexdigest() == (
             "3403448b079ec37081d290fe8c73da239697e5430f994ec4f57459d105c36bc4")
+
+
+class TestSliceSize:
+    """Soft rows are weighed and pooled in float64 slices of SLICE_ROWS rows
+    of each chunk: the weights of a row are computed within it, max pooling
+    is an exact maximum, and soft average's running sum stays in point order
+    at any slice size."""
+
+    SIZES = (1, 47, 48, 49, 191, 192, 193, 1681)
+    SLICES = (1, 7, 48, bovw.encoding.CHUNK_ROWS)
+
+    def encodings(self, monkeypatch, pts, words, pooling):
+        ds, cb = grid_set(pts), make_codebook(words)
+        got = []
+        for rows in self.SLICES:
+            monkeypatch.setattr(bovw.encoding, "SLICE_ROWS", rows)
+            got.append(encode_image(ds, cb, EncodingParams(60.0, "soft", pooling)).h)
+        return got
+
+    @pytest.mark.parametrize("pooling", ["max", "average"])
+    def test_bytes_do_not_depend_on_the_slice_size(self, monkeypatch, pooling):
+        rng = np.random.default_rng(24)
+        words = rng.integers(0, 256, (5, DESCRIPTOR_DIMS)).astype(np.uint8)
+        for n in self.SIZES:
+            pts = rng.integers(0, 256, (n, DESCRIPTOR_DIMS)).astype(np.uint8)
+            got = self.encodings(monkeypatch, pts, words, pooling)
+            assert all(np.array_equal(h, got[0]) for h in got), n
+            want = bow_reference(pts, words, 60.0, "soft", pooling)
+            assert np.abs(got[0] - np.array(want)).max() <= 1e-12, n
+
+    @pytest.mark.parametrize("pooling", ["max", "average"])
+    def test_bytes_equal_the_float64_formulas_at_k1000(self, monkeypatch, pooling):
+        for n in self.SIZES:
+            pts = extreme_bytes(n, n + 2)
+            want = pooled_reference(exact_d2(pts, TestExactKernel.WORDS), "soft", pooling,
+                                    60.0, False)
+            for h in self.encodings(monkeypatch, pts, TestExactKernel.WORDS, pooling):
+                assert np.array_equal(h, want), n
+
+
+class TestWorkingSet:
+    """numpy's peak allocation in one call at 1,681 points and k=1000, with
+    the dictionary's word plan built beforehand, as image threads share it.
+    Soft rows take a float64 slice of 48 x k, not a chunk of 192 x k."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(25)
+        cb = make_codebook(rng.integers(0, 256, (1000, DESCRIPTOR_DIMS)))
+        ds = grid_set(rng.integers(0, 256, (1681, DESCRIPTOR_DIMS)).astype(np.uint8))
+        return ds, cb, word_plan(cb)
+
+    @pytest.mark.parametrize("assignment,pooling,limit", [("soft", "max", 1.4),
+                                                          ("soft", "average", 1.4),
+                                                          ("hard", "average", 0.9)])
+    def test_peak_allocation(self, case, assignment, pooling, limit):
+        ds, cb, plan = case
+        params = EncodingParams(assignment=assignment, pooling=pooling)
+        assert peak_mib(lambda: encode_image(ds, cb, params, plan)) <= limit
 
 
 class TestBowIO:

@@ -20,7 +20,7 @@ from bovw.features import (
 )
 from bovw.synth import render_texture, textures8_specs
 
-from conftest import describe_patch
+from conftest import describe_patch, peak_mib
 from oracles import describe_patches_per_bin, grid_centers, sift_reference
 
 
@@ -278,6 +278,17 @@ class TestReusedMassArray:
         assert fresh.any()
         assert np.array_equal(features._describe_patches(patches, garbage), fresh)
         assert np.array_equal(fresh, describe_patches_per_bin(patches))
+
+
+def test_peak_allocation_of_a_256_square_image():
+    # one 1,681-point image: the mass array (1.5 MiB), the descriptors
+    # (215 KB) and the block temporaries, which are reused in place and
+    # freed before the scatter; the tables are built beforehand, as the
+    # store builds them before image threads start
+    image = render_texture(textures8_specs()[4], 256, np.random.default_rng(14))
+    features.gradient_tables()
+    features.patch_tables(16, BLOCK_PATCHES)
+    assert peak_mib(lambda: extract_dense_sift(image, GridParams())) <= 2.6
 
 
 class TestGradientTables:

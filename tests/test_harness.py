@@ -1064,6 +1064,22 @@ class TestCli:
                      "--runs 2 --cache-dir {t}/cache --out {t}/res.csv",
                      "argument --ntrain: expected a positive integer, got '0'",
                      id="sweep-ntrain-zero"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs 0 "
+                     "--cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --runs: expected a positive integer, got '0'",
+                     id="crossbase-runs-zero"),
+        pytest.param("sweep --source {m} --target {m} --class-counts 1,3 --ntrain 3 --k 12 "
+                     "--runs -2 --cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --runs: expected a positive integer, got '-2'",
+                     id="sweep-runs-negative"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 3 --k 12 --runs -2 "
+                     "--cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --runs: expected a positive integer, got '-2'",
+                     id="crossbase-runs-negative"),
+        pytest.param("sweep --source {m} --target {m} --class-counts 1,3 --ntrain 3 --k 12 "
+                     "--runs 0 --cache-dir {t}/cache --out {t}/res.csv",
+                     "argument --runs: expected a positive integer, got '0'",
+                     id="sweep-runs-zero"),
         pytest.param("train --bows {t}/bows.bin --manifest {m} --out {t}/nodir/m.bin",
                      "bovw train: error: {t}/nodir/m.bin: directory {t}/nodir does not exist",
                      id="train-out-nodir"),
