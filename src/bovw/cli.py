@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=_positive, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--classes", type=int, default=None,
+    p.add_argument("--classes", type=_positive, default=None,
                    help="restrict the pool to a seeded subset of this many classes")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", required=True)

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,9 @@ BYTE_SCALE = 512.0
 BLOCK_PATCHES = 96
 # largest |difference| of two 8-bit pixels
 MAX_DIFF = 255
+
+# held while _describe_patches fetches the tables
+_TABLES_LOCK = threading.Lock()
 
 CACHE_MAGIC = b"BVWD"
 CACHE_VERSION = 2
@@ -120,23 +125,13 @@ def dense_grid(width: int, height: int, params: GridParams) -> np.ndarray:
 
 
 def extract_dense_sift(image: Image, params: GridParams, source: str = "") -> DescriptorSet:
-    """One descriptor per dense-grid keypoint, in grid order.
-
-    Patches go through ``_describe_patches`` in blocks of ``BLOCK_PATCHES``,
-    so the working set is bounded whatever the image size; every block
-    refills one orientation-mass array, which lives for this call only.
-    """
+    """One descriptor per dense-grid keypoint, in grid order, described by
+    ``_describe_patches`` from a view of the image's patch windows."""
     _check_fits(image.width, image.height, params)
     s = params.patch_size
     # window (r, c) is the patch centered at (c + s/2, r + s/2)
     windows = sliding_window_view(image.pixels, (s, s))[:: params.stride, :: params.stride]
-    n = windows.shape[0] * windows.shape[1]
-    descriptors = np.empty((n, DESCRIPTOR_DIMS), dtype=np.uint8)
-    by_bin = np.empty((min(n, BLOCK_PATCHES), N_ORIENT_BINS, s * s))
-    for start in range(0, n, BLOCK_PATCHES):
-        r, c = np.unravel_index(np.arange(start, min(start + BLOCK_PATCHES, n)), windows.shape[:2])
-        descriptors[start : start + len(r)] = _describe_patches(windows[r, c], by_bin)
-    return DescriptorSet(descriptors, image.width, image.height, params, source)
+    return DescriptorSet(_describe_patches(windows), image.width, image.height, params, source)
 
 
 @functools.cache
@@ -150,9 +145,8 @@ def gradient_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``gx = dx / 2`` exactly, and the values are those of the numpy calls the
     per-bin float form (``tests/oracles.py``) makes per pixel on
     ``(gx, gy)``. ``hypot`` depends on the magnitudes alone, which folds its
-    table onto (|dx|, |dy|). Built once per process on first use (about
-    5 ms, 3 MiB); build it before starting threads that extract, so that no
-    two threads build it.
+    table onto (|dx|, |dy|). Built once per process, by the first
+    ``_describe_patches`` call, under its lock (about 5 ms, 3 MiB).
     """
     half = np.arange(MAX_DIFF + 1) / 2.0
     mag = np.hypot(half[:, np.newaxis], half[np.newaxis, :])
@@ -161,7 +155,8 @@ def gradient_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
     ob = np.divide(theta, 2.0 * np.pi / N_ORIENT_BINS, out=theta)
     floor_ob = np.floor(ob)
-    o0 = (floor_ob.astype(np.intp) & (N_ORIENT_BINS - 1)).astype(np.uint8)
+    o0 = floor_ob.astype(np.intp)  # masked in place: one 2 MiB temporary fewer
+    o0 = np.bitwise_and(o0, N_ORIENT_BINS - 1, out=o0).astype(np.uint8)
     fo = np.subtract(ob, floor_ob, out=ob)
     tables = (mag.reshape(-1), o0.reshape(-1), fo.reshape(-1))
     for table in tables:
@@ -175,9 +170,8 @@ def patch_tables(patch_size: int, rows: int) -> tuple[np.ndarray, np.ndarray, np
     S x S patches: the (S, S) Gaussian magnitude weights, the (S*S, 16)
     bilinear pixel-to-cell map (row y*S + x, column row_cell*4 + col_cell)
     and the scatter's (rows, S*S) base offsets, patch*8*S*S + pixel.
-    Extraction asks for ``BLOCK_PATCHES`` rows, so a process builds one entry
-    per patch size (a larger stack described directly adds one of its size);
-    build it before starting threads that extract.
+    ``_describe_patches`` asks for ``BLOCK_PATCHES`` rows under its lock, so
+    a process builds one entry per patch size.
     """
     s, cs = patch_size, patch_size // N_SPATIAL_CELLS
     coords = np.arange(s, dtype=np.float64)
@@ -194,9 +188,11 @@ def patch_tables(patch_size: int, rows: int) -> tuple[np.ndarray, np.ndarray, np
     return tables
 
 
-def _describe_patches(patches: np.ndarray, by_bin: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized descriptor computation for a (N, S, S) stack of patches of
-    8-bit pixel values (uint8, or any dtype holding such integers).
+def _describe_patches(patches: np.ndarray) -> np.ndarray:
+    """Vectorized descriptor computation for an (..., S, S) array of patches
+    of 8-bit pixel values (uint8, or any dtype holding such integers): an
+    image's (rows, cols, S, S) window view or an (N, S, S) stack. Returns
+    the (N, 128) descriptors, in the patches' row-major order.
 
     Pipeline per patch: central-difference gradients with replicated borders
     (the patch is self-contained; pixels outside it are never read), Gaussian
@@ -204,6 +200,11 @@ def _describe_patches(patches: np.ndarray, by_bin: np.ndarray | None = None) -> 
     soft-binning into 4x4 cells x 8 orientation bins, L2 normalization, 0.2
     clamp, renormalization and x512 byte quantization. A constant-intensity
     patch (zero histogram norm) yields the all-zero descriptor.
+
+    Patches are gathered and described in blocks of ``BLOCK_PATCHES``, so
+    the working set is bounded whatever the image size, and every block
+    frees its temporaries before the next starts. The tables are fetched
+    under one lock, so that threads which start together build each once.
 
     Every pixel difference is an integer in [-255, 255], so each pixel's
     magnitude, first bin and bin fraction are gathered from
@@ -213,80 +214,79 @@ def _describe_patches(patches: np.ndarray, by_bin: np.ndarray | None = None) -> 
     gradients, whose angles differ only where the magnitude, hence the
     mass, is zero).
 
-    Each pixel's two orientation masses are scattered into an (N, 8, S*S)
-    array of zeros and pooled into cells by one (N*8, S*S) @ (S*S, 16)
-    product. That array is the first N rows of ``by_bin``, a float64
-    (M >= N, 8, S*S) array that is zeroed here, whatever it held, so one
-    array can serve every block of an image; it is built here when None.
-    The bytes equal a per-bin evaluation (one masked copy and one
-    product per bin, kept in ``tests/oracles.py``): arctan2 lies in
-    [-pi, pi], where adding 2*pi to the negative angles is exactly
-    ``np.mod(theta, 2*pi)`` (a -0.0 angle falls in bin 0 with zero fraction
-    either way), a pixel's two bins always differ, and its masses are >= +0,
-    so each scattered value is the masked sum's value.
+    Each pixel's two orientation masses are scattered into a block's
+    (n, 8, S*S) array of zeros and pooled into cells by one
+    (n*8, S*S) @ (S*S, 16) product. One such array is allocated per call and
+    re-zeroed by every block. The bytes equal a per-bin evaluation (one
+    masked copy and one product per bin, kept in ``tests/oracles.py``):
+    arctan2 lies in [-pi, pi], where adding 2*pi to the negative angles is
+    exactly ``np.mod(theta, 2*pi)`` (a -0.0 angle falls in bin 0 with zero
+    fraction either way), a pixel's two bins always differ, and its masses
+    are >= +0, so each scattered value is the masked sum's value.
     """
-    n, s = patches.shape[0], patches.shape[1]
-    npix = s * s
-
-    # differences along the flat pixel order; the patch's edge columns and
-    # rows are then redone one-sided, which is edge replication
-    q = patches.astype(np.int16).reshape(-1)
-    dx, dy = np.empty_like(q), np.empty_like(q)
-    np.subtract(q[2:], q[:-2], out=dx[1:-1])
-    np.subtract(q[2 * s :], q[: -2 * s], out=dy[s:-s])
-    p, dx, dy = q.reshape(n, s, s), dx.reshape(n, s, s), dy.reshape(n, s, s)
-    np.subtract(p[:, :, 1], p[:, :, 0], out=dx[:, :, 0])
-    np.subtract(p[:, :, -1], p[:, :, -2], out=dx[:, :, -1])
-    np.subtract(p[:, 1], p[:, 0], out=dy[:, 0])
-    np.subtract(p[:, -1], p[:, -2], out=dy[:, -1])
-
-    # one intp index array serves all three tables, and spent temporaries are freed
-    mag_table, o0_table, fo_table = gradient_tables()
-    gauss, spatial, base = patch_tables(s, max(n, BLOCK_PATCHES))
-    at = np.multiply(np.abs(dx), MAX_DIFF + 1, dtype=np.intp)
-    at += np.abs(dy)
-    weighted = mag_table.take(at).reshape(n, npix)
-    weighted *= gauss.reshape(npix)
-    np.multiply(dy + MAX_DIFF, 2 * MAX_DIFF + 1, out=at, dtype=np.intp)
-    at += dx + MAX_DIFF
-    del q, p, dx, dy
-
-    # orientation soft-binning: each pixel splits its mass between the two
-    # adjacent bins on the 8-bin circle
-    o0 = o0_table.take(at).reshape(n, npix)
-    fo = fo_table.take(at).reshape(n, npix)
-    del at
-    m0 = 1.0 - fo
-    m0 *= weighted
-    fo *= weighted  # the second bin's mass
-    del weighted
-
+    lead, s = patches.shape[:-2], patches.shape[-1]
+    npix, total = s * s, math.prod(lead)
+    with _TABLES_LOCK:
+        mag_table, o0_table, fo_table = gradient_tables()
+        gauss, spatial, base = patch_tables(s, BLOCK_PATCHES)
+    descriptors = np.zeros((total, DESCRIPTOR_DIMS), dtype=np.uint8)
     # per-pixel mass by orientation bin, at flat index (patch*8 + bin)*S*S + pixel
-    if by_bin is None:
-        by_bin = np.empty((n, N_ORIENT_BINS, npix))
-    flat = by_bin[:n].reshape(-1)
-    flat.fill(0.0)
-    at = np.empty((n, npix), dtype=np.intp)
-    for mass in (m0, fo):
-        np.multiply(o0, npix, out=at, dtype=np.intp)
-        at += base[:n]
-        flat[at] = mass
-        np.bitwise_and(o0 + 1, N_ORIENT_BINS - 1, out=o0)
-    del at, m0, fo
+    by_bin = np.empty(min(total, BLOCK_PATCHES) * N_ORIENT_BINS * npix)
+    for start in range(0, total, BLOCK_PATCHES):
+        stop = min(start + BLOCK_PATCHES, total)
+        n = stop - start
+        # differences along the flat pixel order; the patch's edge columns and
+        # rows are then redone one-sided, which is edge replication
+        q = patches[np.unravel_index(np.arange(start, stop), lead)].astype(np.int16).reshape(-1)
+        dx, dy = np.empty_like(q), np.empty_like(q)
+        np.subtract(q[2:], q[:-2], out=dx[1:-1])
+        np.subtract(q[2 * s :], q[: -2 * s], out=dy[s:-s])
+        p, dx, dy = q.reshape(n, s, s), dx.reshape(n, s, s), dy.reshape(n, s, s)
+        np.subtract(p[:, :, 1], p[:, :, 0], out=dx[:, :, 0])
+        np.subtract(p[:, :, -1], p[:, :, -2], out=dx[:, :, -1])
+        np.subtract(p[:, 1], p[:, 0], out=dy[:, 0])
+        np.subtract(p[:, -1], p[:, -2], out=dy[:, -1])
 
-    pooled = (flat.reshape(n * N_ORIENT_BINS, npix) @ spatial).reshape(n, N_ORIENT_BINS, -1)
-    hist = pooled.transpose(0, 2, 1).reshape(n, DESCRIPTOR_DIMS)
+        # one intp index array serves all three tables, and spent temporaries are freed
+        at = np.multiply(np.abs(dx), MAX_DIFF + 1, dtype=np.intp)
+        at += np.abs(dy)
+        weighted = mag_table.take(at).reshape(n, npix)
+        weighted *= gauss.reshape(npix)
+        np.multiply(dy + MAX_DIFF, 2 * MAX_DIFF + 1, out=at, dtype=np.intp)
+        at += dx + MAX_DIFF
+        del q, p, dx, dy
 
-    norms = np.linalg.norm(hist, axis=1, keepdims=True)
-    nonzero = norms[:, 0] > 0.0
-    out = np.zeros((n, DESCRIPTOR_DIMS), dtype=np.uint8)
-    if np.any(nonzero):
+        # orientation soft-binning: each pixel splits its mass between the two
+        # adjacent bins on the 8-bin circle
+        o0 = o0_table.take(at).reshape(n, npix)
+        fo = fo_table.take(at).reshape(n, npix)
+        del at
+        m0 = 1.0 - fo
+        m0 *= weighted
+        fo *= weighted  # the second bin's mass
+        del weighted
+
+        flat = by_bin[: n * N_ORIENT_BINS * npix]
+        flat.fill(0.0)
+        at = np.empty((n, npix), dtype=np.intp)
+        for mass in (m0, fo):
+            np.multiply(o0, npix, out=at, dtype=np.intp)
+            at += base[:n]
+            flat[at] = mass
+            np.bitwise_and(o0 + 1, N_ORIENT_BINS - 1, out=o0)
+        del at, o0, m0, fo, mass
+
+        hist = ((flat.reshape(n * N_ORIENT_BINS, npix) @ spatial)
+                .reshape(n, N_ORIENT_BINS, -1).transpose(0, 2, 1).reshape(n, DESCRIPTOR_DIMS))
+        norms = np.linalg.norm(hist, axis=1, keepdims=True)
+        nonzero = norms[:, 0] > 0.0
         v = hist[nonzero] / norms[nonzero]
+        del hist, norms
         np.minimum(v, CLAMP_THRESHOLD, out=v)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        q = np.clip(np.round(v * BYTE_SCALE), 0.0, 255.0)
-        out[nonzero] = q.astype(np.uint8)
-    return out
+        descriptors[start:stop][nonzero] = np.clip(np.round(v * BYTE_SCALE), 0.0, 255.0)
+        del v
+    return descriptors
 
 
 def cache_path(cache_dir: str | Path, image_path: str | Path, params: GridParams) -> Path:

@@ -28,15 +28,12 @@ from .codebook import Codebook, build_random_codebook, check_pool_size
 from .corpus import DatasetManifest, ManifestEntry, image_size, load_image, select_classes
 from .encoding import CHUNK_ROWS, EncodingParams, encode_image, word_plan
 from .features import (
-    BLOCK_PATCHES,
     DescriptorSet,
     GridParams,
     cache_path,
     dense_grid,
     extract_dense_sift,
-    gradient_tables,
     load_descriptor_cache,
-    patch_tables,
     save_descriptor_cache,
 )
 
@@ -183,11 +180,10 @@ class DescriptorStore:
         """Descriptor sets for every entry, in manifest order.
 
         Images with neither a memory entry nor a readable cache file are
-        extracted first, on image threads (``_on_image_threads``), after the
-        extraction kernel's tables are built in this thread; the sets are the
-        bytes serial ``get`` calls give. Logs one INFO line: images taken
-        from memory, from the cache and extracted (unreadable cache files
-        too), the grid points extracted and extraction seconds."""
+        extracted first, on image threads (``_on_image_threads``); the sets
+        are the bytes serial ``get`` calls give. Logs one INFO line: images
+        taken from memory, from the cache and extracted (unreadable cache
+        files too), the grid points extracted and extraction seconds."""
         in_memory = sum(manifest.resolve(e) in self._memory for e in manifest.entries)
         unreadable: list[tuple[Path, ValueError]] = []
         misses = [e for e in manifest.entries if self._stored(manifest, e, unreadable) is None]
@@ -195,10 +191,7 @@ class DescriptorStore:
             logger.warning("re-extracting %d images with an unreadable cache file, first %s (%s)",
                            len(unreadable), *unreadable[0])
         started = time.perf_counter()
-        if misses:
-            gradient_tables()  # here, so that no two image threads build them
-            patch_tables(self.grid.patch_size, BLOCK_PATCHES)
-            _on_image_threads(lambda e: self._extract(manifest, e), misses)
+        _on_image_threads(lambda e: self._extract(manifest, e), misses)
         seconds = time.perf_counter() - started
         points = sum(len(self._memory[manifest.resolve(e)]) for e in misses)
         logger.info("pool %s: %d from memory, %d from cache, %d extracted (%d points) in %.3f s",

@@ -330,6 +330,26 @@ class TestExperiments:
         assert native.mean_acc == cross.mean_acc
         assert native.ci_low == cross.ci_low
 
+    def test_shuffled_training_labels_land_near_chance(self, micro_corpus, micro_store,
+                                                       micro_params):
+        # a negative control: the unpermuted labels classify, permuted ones
+        # (by 5 seeds) leave accuracy near the chance rate of 3 classes
+        spec = SplitSpec(n_train_per_class=4, run_seeds=tuple(range(10)))
+        labels = [e.label for e in micro_corpus.entries]
+
+        def mean_acc(name, labels):
+            entries = tuple(ManifestEntry(e.path, label)
+                            for e, label in zip(micro_corpus.entries, labels, strict=True))
+            corpus = DatasetManifest(name, entries, micro_corpus.base_dir)
+            (row,) = cross_base_experiment(corpus, corpus, [4], spec, micro_params,
+                                           store=micro_store, include_native=False)
+            return row.mean_acc
+
+        assert mean_acc("micro", labels) >= 0.9
+        for seed in range(5):
+            shuffled = np.random.default_rng(seed).permutation(labels).tolist()
+            assert mean_acc(f"shuffled-{seed}", shuffled) <= 0.5
+
     def test_crossbase_row_echo_swaps_with_arguments(self, micro_corpus, micro_store,
                                                      micro_params, tmp_path):
         half_a = DatasetManifest("half_a", micro_corpus.entries[0::2], micro_corpus.base_dir)
@@ -654,20 +674,22 @@ class TestPool:
             assert np.array_equal(a.keypoints, b.keypoints)
             assert np.array_equal(a.descriptors, b.descriptors)
 
-    def test_tables_are_built_once_before_image_threads(self, micro_corpus, monkeypatch):
+    def test_cold_image_threads_build_each_table_once(self, micro_corpus, monkeypatch):
+        # BLAS threads are faked, so the images are extracted on two threads
+        # on any machine, and a short switch interval lets both enter the
+        # first table build unless the kernel's lock keeps one out
+        threads = [4]
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
-        real, built = bovw.harness.extract_dense_sift, []
-
-        def traced(*args, **kwargs):
-            built.append((gradient_tables.cache_info().currsize,
-                          patch_tables.cache_info().currsize))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(bovw.harness, "extract_dense_sift", traced)
+        monkeypatch.setattr(bovw.harness, "_openblas_threads",
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
         gradient_tables.cache_clear()
         patch_tables.cache_clear()
-        DescriptorStore(GridParams()).pool(micro_corpus)
-        assert built == [(1, 1)] * len(micro_corpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            DescriptorStore(GridParams()).pool(micro_corpus)
+        finally:
+            sys.setswitchinterval(interval)
         assert gradient_tables.cache_info().misses == 1
         assert patch_tables.cache_info().misses == 1
 
@@ -1045,6 +1067,14 @@ class TestCli:
                      f"{SEED_ERROR}, got 'abc'", id="train-seed-text"),
         pytest.param("codebook --manifest {m} --k 1.5 --cache-dir {t}/cache --out {t}/cb.bin",
                      "argument --k: expected a positive integer, got '1.5'", id="codebook-k-float"),
+        pytest.param("codebook --manifest {m} --k 12 --classes 0 --cache-dir {t}/cache "
+                     "--out {t}/cb.bin",
+                     "argument --classes: expected a positive integer, got '0'",
+                     id="codebook-classes-zero"),
+        pytest.param("codebook --manifest {m} --k 12 --classes -1 --cache-dir {t}/cache "
+                     "--out {t}/cb.bin",
+                     "argument --classes: expected a positive integer, got '-1'",
+                     id="codebook-classes-negative"),
         pytest.param("crossbase --source {m} --target {m} --ntrain 2,x --k 12 --runs 2 "
                      "--cache-dir {t}/cache --out {t}/res.csv",
                      "argument --ntrain: expected a comma-separated integer list, got '2,x'",
