@@ -93,7 +93,6 @@ def _positive_list(text: str) -> list[int]:
 
 def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
-    harness.grid_points(manifest, _grid(args))  # a bad image fails before any extraction
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
     total = sum(map(len, store.pool(manifest)))
     print(f"extracted {len(manifest)} images, {total} descriptors -> {args.cache_dir}")
@@ -107,10 +106,10 @@ def cmd_codebook(args) -> int:
             manifest, args.classes, args.seed + harness.CLASS_SEED_OFFSET
         )
     harness.check_output_dir(args.out)  # a bad --out, --k or image fails before any extraction
-    codebook.check_pool_size(harness.grid_points(manifest, _grid(args)), args.k)
+    store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
+    codebook.check_pool_size(store.points(manifest), args.k)
     if args.classes is not None:
         print(f"classes: {','.join(manifest.class_labels)}")
-    store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
     cb = codebook.build_random_codebook(
         store.pool(manifest),
         args.k,
@@ -126,11 +125,10 @@ def cmd_codebook(args) -> int:
 def cmd_encode(args) -> int:
     manifest = load_manifest(args.manifest)
     cb = codebook.load_codebook(args.codebook)
-    # a bad flag, output path or image fails before any extraction
+    # a bad flag or output path fails before any extraction, a bad image in store.pool
     params = _encoding_params(args)
     for out in filter(None, [args.out, args.csv]):
         harness.check_output_dir(out)
-    harness.grid_points(manifest, _grid(args))
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
     bows = harness.encode_rows(np.empty((len(manifest), cb.k)), store.pool(manifest), cb, params)
     encoding.save_bows(bows, cb.codebook_id, args.out)

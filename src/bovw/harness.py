@@ -179,25 +179,42 @@ class DescriptorStore:
     def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
         """Descriptor sets for every entry, in manifest order.
 
-        Images with neither a memory entry nor a readable cache file are
-        extracted first, on image threads (``_on_image_threads``); the sets
-        are the bytes serial ``get`` calls give. Logs one INFO line: images
-        taken from memory, from the cache and extracted (unreadable cache
-        files too), the grid points extracted and extraction seconds."""
+        Images with neither a memory entry nor a readable cache file have
+        their headers checked by ``points``, then are extracted on image
+        threads (``_on_image_threads``), the bytes serial ``get`` calls give.
+        Logs one INFO line: images taken from memory, from the cache and
+        extracted (unreadable cache files too), the grid points extracted and
+        extraction seconds."""
         in_memory = sum(manifest.resolve(e) in self._memory for e in manifest.entries)
         unreadable: list[tuple[Path, ValueError]] = []
         misses = [e for e in manifest.entries if self._stored(manifest, e, unreadable) is None]
         if unreadable:  # one line, not one per file
             logger.warning("re-extracting %d images with an unreadable cache file, first %s (%s)",
                            len(unreadable), *unreadable[0])
+        points = sum(self._points(manifest, e) for e in misses)  # a bad image fails here
         started = time.perf_counter()
         _on_image_threads(lambda e: self._extract(manifest, e), misses)
         seconds = time.perf_counter() - started
-        points = sum(len(self._memory[manifest.resolve(e)]) for e in misses)
         logger.info("pool %s: %d from memory, %d from cache, %d extracted (%d points) in %.3f s",
                     manifest.name, in_memory, len(manifest) - in_memory - len(misses),
                     len(misses), points, seconds)
         return [self.get(manifest, e) for e in manifest.entries]
+
+    def points(self, manifest: DatasetManifest) -> int:
+        """Grid points over the images of ``manifest``: a held set's length, else
+        the count from its PGM header. A bad header or an image smaller than one
+        patch raises ValueError naming the image, before any extraction."""
+        return sum(self._points(manifest, e) for e in manifest.entries)
+
+    def _points(self, manifest: DatasetManifest, entry: ManifestEntry) -> int:
+        path = manifest.resolve(entry)
+        if path in self._memory:
+            return len(self._memory[path])
+        width, height = image_size(path)  # its errors name the image
+        try:
+            return len(dense_grid(width, height, self.grid))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
     def _stored(self, manifest: DatasetManifest, entry: ManifestEntry,
                 unreadable: list | None = None) -> DescriptorSet | None:
@@ -232,21 +249,6 @@ class DescriptorStore:
             save_descriptor_cache(cache_path(self.cache_dir, path, self.grid), ds)
         self._memory[path] = ds
         return ds
-
-
-def grid_points(manifest: DatasetManifest, grid: GridParams) -> int:
-    """Grid points over the images of ``manifest``, from their PGM headers
-    alone. Raises ValueError naming the image for a bad header or an image
-    smaller than one patch, so either fails before any extraction."""
-    total = 0
-    for e in manifest.entries:
-        path = manifest.resolve(e)
-        width, height = image_size(path)  # its errors name the image
-        try:
-            total += len(dense_grid(width, height, grid))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-    return total
 
 
 def split_balanced(
@@ -420,7 +422,7 @@ def _experiment(
     dictionary refills one encoding of ``target``, classified at every n_train."""
     # a too-large n_train or k, an n_train whose SVM lambda is 0 or inf, or a
     # source or target image whose PGM header is bad or smaller than one patch
-    # fails before extraction
+    # fails before extraction: the target's pool checks its own headers first
     split_balanced(target, max(n_train_values), 0)
     for n_train in n_train_values:
         svm_lambda(params.c_reg, n_train * len(target.class_labels))
@@ -428,10 +430,9 @@ def _experiment(
     if store.grid != params.grid:
         raise ValueError(f"store grid {store.grid} differs from params grid {params.grid}")
     for source, _ in curves:
-        check_pool_size(grid_points(source, params.grid), params.k)
-    grid_points(target, params.grid)
-    pools = [store.pool(source) for source, _ in curves]
+        check_pool_size(store.points(source), params.k)
     targets = store.pool(target)
+    pools = [store.pool(source) for source, _ in curves]
     bows = np.empty((len(target), params.k), dtype=np.float64)
 
     rows = []

@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import logging
 import re
 import shlex
@@ -420,6 +421,18 @@ class TestExperiments:
                 diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, params, store=store)
         assert not cache.exists()  # nothing extracted
 
+    def test_store_that_holds_every_set_reads_no_header(self, micro_corpus, micro_store,
+                                                        micro_params, monkeypatch):
+        def no_header(path):
+            raise AssertionError(f"read the PGM header of {path}")
+
+        monkeypatch.setattr(bovw.harness, "image_size", no_header)
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+        cross_base_experiment(micro_corpus, micro_corpus, [2, 3], spec, micro_params,
+                              store=micro_store)
+        diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, micro_params,
+                        store=micro_store)
+
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
                                                             micro_params):
         spec = SplitSpec(n_train_per_class=3, run_seeds=(0, 1))
@@ -555,6 +568,13 @@ class TestDescriptorStore:
         info = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("pool "))
         assert info.startswith(f"pool micro: 0 from memory, {len(micro_corpus) - 3} from cache, "
                                "3 extracted (108 points)")
+
+    def test_points_from_held_sets_or_pgm_headers(self, micro_corpus, micro_store):
+        # 48x48 images hold 6x6 grid points
+        fresh = DescriptorStore(GridParams())
+        assert micro_store.points(micro_corpus) == fresh.points(micro_corpus) == 36 * len(
+            micro_corpus)
+        assert fresh._memory == {}
 
 
 class TestPool:
@@ -714,6 +734,23 @@ class TestPool:
             assert str(info.value) == f"cache directory {cache}: {afile} is not a directory"
         assert extractions == []
         assert afile.read_text() == "not a directory\n"
+
+    def test_image_smaller_than_a_patch_fails_before_any_extraction(self, micro_corpus,
+                                                                    tmp_path, extractions):
+        entries = micro_corpus.entries[:3]
+        for e in entries:
+            (tmp_path / e.path).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(micro_corpus.resolve(e), tmp_path / e.path)
+        save_image(Image(np.zeros((8, 8), dtype=np.uint8)), tmp_path / "tiny.pgm")
+        manifest = DatasetManifest("small", (*entries, ManifestEntry("tiny.pgm", "tiny")),
+                                   base_dir=tmp_path)
+        cache = tmp_path / "cache"
+        with pytest.raises(ValueError) as info:
+            DescriptorStore(GridParams(), cache_dir=cache).pool(manifest)
+        assert str(info.value) == (
+            f"{tmp_path / 'tiny.pgm'}: image 8x8 smaller than one 16-pixel patch")
+        assert extractions == []
+        assert not cache.exists()
 
     def test_no_queued_job_starts_after_a_failure(self, monkeypatch):
         # BLAS threads are faked, so the jobs run on threads on any machine
@@ -1187,6 +1224,30 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr == (f"bovw train: error: bow file has 1 rows but manifest has "
                               f"{len(micro_corpus)} entries\n")
+
+    def test_readme_desk_csvs_pinned(self, tmp_path, monkeypatch):
+        # the README's desk recipe, through cli.main; the digests hold at the
+        # AVX-512 and the AVX2 SIMD dispatch levels
+        from bovw.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        corpora = ["--source", "textures/diverse8/textures8.manifest", "--k", "200",
+                   "--cache-dir", "textures/cache"]
+        for argv in (["synth", "--out-dir", "textures/diverse8", "--corpus", "textures8",
+                      "--seed", "7"],
+                     ["synth", "--out-dir", "textures/narrow3", "--corpus", "textures3",
+                      "--seed", "11"],
+                     ["crossbase", *corpora, "--target", "textures/narrow3/textures3.manifest",
+                      "--ntrain", "10,20,30", "--out", "crossbase.csv"],
+                     ["sweep", *corpora, "--target", "textures/diverse8/textures8.manifest",
+                      "--class-counts", "1,2,4,8", "--ntrain", "30", "--out", "diversity.csv"]):
+            assert main(argv) == 0, argv
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("crossbase.csv", "diversity.csv")}
+        assert digests == {
+            "crossbase.csv": "936a5ac67bb51f542fe3cf47a344619f46b6d0bb5495911c4f27b15078c8d1e5",
+            "diversity.csv": "853566f95bca8cfdcffd517280d969e77566f36732cdf71bfe2d87862835d927",
+        }
 
     def test_readme_commands_parse(self):
         from bovw.cli import build_parser
