@@ -100,6 +100,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_codebook(args) -> int:
+    codebook.check_seed(args.seed)  # saved in the file: a seed it cannot hold fails first
     manifest = load_manifest(args.manifest)
     if args.classes is not None:
         manifest = harness.select_classes(

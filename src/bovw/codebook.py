@@ -62,6 +62,12 @@ def check_pool_size(total: int, k: int) -> None:
         raise ValueError(f"pool has {total} descriptors, need at least {k}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless the codebook file's signed 64-bit field holds ``seed``."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"seed {seed} does not fit the codebook file's 64-bit seed field")
+
+
 def build_random_codebook(
     pool: Sequence[DescriptorSet],
     k: int,
@@ -99,6 +105,7 @@ def build_random_codebook(
 def save_codebook(cb: Codebook, path: str | Path) -> None:
     """Binary codebook file: header (magic, version, k, dims, seed, source
     name, source classes) plus the k x 128 byte word matrix."""
+    check_seed(cb.seed)
     binfile.write(path, CODEBOOK_MAGIC, CODEBOOK_VERSION,
                   struct.pack("<2Iq", cb.k, DESCRIPTOR_DIMS, cb.seed),
                   binfile.pack_str(cb.source_name),

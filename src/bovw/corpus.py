@@ -91,8 +91,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: manifest is not UTF-8 text ({err})") from None
     entries: list[ManifestEntry] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -13,19 +13,12 @@ exactly. The float32 w^2 - 2 p.w thus ranks the words as the squared
 distance does (p^2 is constant per point), ties included, and once its row
 minimum is subtracted it equals soft_assign's float64 d2 - min(d2) bit for
 bit; the weights are then computed in float64, as there. The encodings are
-identical to the float64 formulas, and cheaper than float64 distances with
-fresh arrays per chunk: per image at k=1000 on 2 vCPUs (dense SIFT of a
-256 x 256 synthetic texture, 1,681 points), soft/max 23-27 -> 15-17 ms and
-hard/average 16-18 -> 5.3 ms.
+identical to the float64 formulas.
 
 The float32 words times -2 and their squared norms are fixed per
 dictionary, so ``word_plan`` builds them once and every ``encode_image``
 call with that codebook reuses them (``bovw.harness.encode_rows`` builds one
-per call, so once per dictionary, shared by its image threads). Rebuilding
-them took a large share of a small image's call: per dictionary at k=1000,
-hard/average on 160 images of 81 points, ``encode_rows`` took 65-70 ms
-with a build per image and 42-47 ms with one plan (2 vCPUs; medians of two
-runs over 35 dictionaries each).
+per call, so once per dictionary, shared by its image threads).
 
 Points stream through in float32 GEMM chunks of CHUNK_ROWS = 192 rows, whose
 soft rows are weighed and pooled in float64 slices of SLICE_ROWS = 48, so
@@ -35,9 +28,7 @@ rows is an exact maximum, an integer count, or soft average's running sum in
 point order (the accumulator is added into a slice's first row, then the
 slice is summed over its rows into it). numpy sums pairwise only along the
 fast axis, so a C-contiguous (b, k) slice with k >= 2 is summed row by row;
-at k = 1 every soft row is 1.0, so any order gives the same integer. At 1,681
-points and k=1000 a soft call peaks at 1.27 MiB of numpy allocations (2.36 in
-192-row float64 chunks), for about 1% more crossbase-warm wall time (2 vCPUs).
+at k = 1 every soft row is 1.0, so any order gives the same integer.
 """
 
 from __future__ import annotations

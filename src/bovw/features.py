@@ -16,8 +16,8 @@ per image and re-zeroed by every block: glibc mmaps an array that large and
 unmaps it when freed, so one per block faulted its pages in every block, and
 one kept per thread, never freed, keeps glibc's mmap threshold low, so every
 other temporary faults in every block. The block temporaries are reused in
-place, so a 1,681-point image peaks at 2.4 MiB of numpy allocations (3.6 with
-fresh ones) and, on Linux, takes no minor faults after a process's first.
+place, so an image's numpy peak stays bounded and, on Linux, an image takes
+no minor faults after a process's first.
 
 A descriptor set holds its image's size and grid, and derives its points
 from them. A cache file (version 2) is the magic, the version and six u32
@@ -146,7 +146,7 @@ def gradient_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     per-bin float form (``tests/oracles.py``) makes per pixel on
     ``(gx, gy)``. ``hypot`` depends on the magnitudes alone, which folds its
     table onto (|dx|, |dy|). Built once per process, by the first
-    ``_describe_patches`` call, under its lock (about 5 ms, 3 MiB).
+    ``_describe_patches`` call, under its lock.
     """
     half = np.arange(MAX_DIFF + 1) / 2.0
     mag = np.hypot(half[:, np.newaxis], half[np.newaxis, :])

@@ -384,9 +384,7 @@ def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
     encoded with ``cb``, and return it.
 
     The codebook's ``word_plan`` is built once here, so once per dictionary,
-    and every image's ``encode_image`` call shares it: on 160 images of 81
-    points (hard/average, k=1000, 2 vCPUs) a dictionary took 42-47 ms
-    instead of 65-70 ms with a plan built per image. Each call still takes
+    and every image's ``encode_image`` call shares it. Each call still takes
     the set and the codebook as its first two positional arguments, which
     ``bench/tracing.py`` reads.
 
@@ -422,7 +420,10 @@ def _experiment(
     dictionary refills one encoding of ``target``, classified at every n_train."""
     # a too-large n_train or k, an n_train whose SVM lambda is 0 or inf, or a
     # source or target image whose PGM header is bad or smaller than one patch
-    # fails before extraction: the target's pool checks its own headers first
+    # fails before extraction: the target's pool checks its own headers first.
+    # A repeated n_train would run its trials twice and write its rows twice.
+    if len(set(n_train_values)) != len(n_train_values):
+        raise ValueError(f"n_train values must be distinct, got {list(n_train_values)}")
     split_balanced(target, max(n_train_values), 0)
     for n_train in n_train_values:
         svm_lambda(params.c_reg, n_train * len(target.class_labels))

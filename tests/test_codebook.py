@@ -136,6 +136,17 @@ class TestCodebookIO:
         assert back.seed == cb.seed
         assert back.codebook_id == cb.codebook_id
 
+    def test_seed_must_fit_the_i64_field(self, tmp_path):
+        words = np.zeros((1, 128), np.uint8)
+        path = tmp_path / "cb.bin"
+        for seed in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match=f"seed {seed} does not fit"):
+                save_codebook(Codebook(words, "src", (), seed), path)
+        assert not path.exists()
+        for seed in (2**63 - 1, -(2**63)):
+            save_codebook(Codebook(words, "src", (), seed), path)
+            assert load_codebook(path).seed == seed
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a codebook at all")

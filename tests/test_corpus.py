@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,12 @@ class TestManifest:
     def test_empty_manifest(self, tmp_path):
         p = write(tmp_path / "m.manifest", "# nothing here\n")
         with pytest.raises(ValueError, match="empty"):
+            load_manifest(p)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.manifest"
+        p.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: manifest is not UTF-8"):
             load_manifest(p)
 
     def test_missing_file(self, tmp_path):

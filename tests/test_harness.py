@@ -407,6 +407,16 @@ class TestExperiments:
         with pytest.raises(ValueError, match="distinct"):
             SplitSpec(n_train_per_class=2, run_seeds=(0, 1, 0))
 
+    def test_repeated_n_train_fails_before_any_extraction(self, micro_corpus, micro_params,
+                                                           tmp_path):
+        # a repeated n_train would run its trials twice and write its rows twice
+        store = DescriptorStore(micro_params.grid, cache_dir=tmp_path / "cache")
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+        with pytest.raises(ValueError, match=r"n_train values must be distinct, got \[2, 2\]"):
+            cross_base_experiment(micro_corpus, micro_corpus, [2, 2], spec, micro_params,
+                                  store=store)
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
     def test_store_grid_must_match_params(self, micro_corpus, micro_params, tmp_path,
                                           experiment):
@@ -1150,6 +1160,14 @@ class TestCli:
         pytest.param("train --bows {t}/bows.bin --manifest {m} --out {t}/nodir/m.bin",
                      "bovw train: error: {t}/nodir/m.bin: directory {t}/nodir does not exist",
                      id="train-out-nodir"),
+        pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
+                     "--seed 9223372036854775808",
+                     "bovw codebook: error: seed 9223372036854775808 does not fit the codebook "
+                     "file's 64-bit seed field", id="codebook-seed-beyond-i64"),
+        pytest.param("crossbase --source {m} --target {m} --ntrain 2,2 --k 12 --runs 2 "
+                     "--cache-dir {t}/cache --out {t}/res.csv",
+                     "bovw crossbase: error: n_train values must be distinct, got [2, 2]",
+                     id="crossbase-ntrain-repeated"),
     ])
     def test_usage_error_writes_nothing(self, tmp_path, micro_corpus, micro_bows, argv, message):
         fill = functools.partial(str.format, m=micro_corpus.base_dir / "micro.manifest",
@@ -1248,6 +1266,15 @@ class TestCli:
             "crossbase.csv": "936a5ac67bb51f542fe3cf47a344619f46b6d0bb5495911c4f27b15078c8d1e5",
             "diversity.csv": "853566f95bca8cfdcffd517280d969e77566f36732cdf71bfe2d87862835d927",
         }
+
+    def test_readme_states_no_measured_figure(self):
+        # timings and memory figures go stale from one machine to the next: they
+        # live in BENCH_*.json and CHANGES.md, and README names the file
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        assert re.findall(r"\d\s?(?:ms|µs|ns|KiB|MiB)\b|alternated\s+pairs", readme) == []
+        named = set(re.findall(r"BENCH_PR\d+\.json", readme))
+        assert named and all((root / name).is_file() for name in named), sorted(named)
 
     def test_readme_commands_parse(self):
         from bovw.cli import build_parser
