@@ -14,8 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 PGM_MAXVAL = 255
-# bytes image_size reads first: a header without long comments fits
-_HEADER_PEEK = 256
 
 
 @dataclass(frozen=True)
@@ -120,41 +118,21 @@ def load_image(path: str | Path) -> Image:
     path = Path(path)
     data = path.read_bytes()
     width, height, offset = _pgm_header(data, path)
-    payload = data[offset:]
-    expected = width * height
-    if len(payload) < expected:
-        raise ValueError(
-            f"{path}: truncated payload ({len(payload)} bytes, expected {expected})"
-        )
-    if len(payload) > expected:
-        raise ValueError(f"{path}: trailing bytes after {expected}-byte payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(height, width)
     return Image(pixels=pixels.copy())
 
 
 def image_size(path: str | Path) -> tuple[int, int]:
-    """(width, height) of a binary PGM file, from its header alone.
-
-    Reads the first ``_HEADER_PEEK`` bytes, and the whole file only when
-    they do not hold the header (long comments). Raises the ValueError
-    ``load_image`` raises for a bad header; the payload is not checked.
-    """
+    """(width, height) of a binary PGM file, after the checks ``load_image``
+    makes: the ValueError for a bad header or payload length is the same."""
     path = Path(path)
-    with path.open("rb") as fh:
-        head = fh.read(_HEADER_PEEK)
-        try:
-            width, height, offset = _pgm_header(head, path)
-            if offset <= len(head):
-                return width, height
-        except ValueError:
-            pass
-        data = head + fh.read()
-    width, height, _ = _pgm_header(data, path)
+    width, height, _ = _pgm_header(path.read_bytes(), path)
     return width, height
 
 
 def _pgm_header(data: bytes, path: Path) -> tuple[int, int, int]:
-    """(width, height, payload offset) from the bytes a P5 file starts with."""
+    """(width, height, payload offset) of a P5 file's bytes, whose payload
+    must be exactly width x height bytes."""
     magic, pos = _next_token(data, 0, path)
     if magic != b"P5":
         raise ValueError(f"{path}: unsupported format (expected P5, got {magic!r})")
@@ -166,7 +144,13 @@ def _pgm_header(data: bytes, path: Path) -> tuple[int, int, int]:
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid dimensions {width}x{height}")
     # exactly one whitespace byte separates the header from the payload
-    return width, height, pos + 1
+    offset, expected = pos + 1, width * height
+    payload = max(len(data) - offset, 0)
+    if payload < expected:
+        raise ValueError(f"{path}: truncated payload ({payload} bytes, expected {expected})")
+    if payload > expected:
+        raise ValueError(f"{path}: trailing bytes after {expected}-byte payload")
+    return width, height, offset
 
 
 def save_image(image: Image, path: str | Path) -> None:

@@ -69,10 +69,12 @@ class GridParams:
     patch_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.patch_size < 4 or self.patch_size % 4 != 0:
-            raise ValueError("patch_size must be a positive multiple of 4")
+        # both are u32 fields of a cache file's header
+        if not 1 <= self.stride < 2**32:
+            raise ValueError(f"stride must be in [1, 2^32), got {self.stride}")
+        if not 4 <= self.patch_size < 2**32 or self.patch_size % 4 != 0:
+            raise ValueError(f"patch_size must be a multiple of 4 in [4, 2^32), "
+                             f"got {self.patch_size}")
 
 
 @dataclass

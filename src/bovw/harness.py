@@ -179,8 +179,8 @@ class DescriptorStore:
     def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
         """Descriptor sets for every entry, in manifest order.
 
-        Images with neither a memory entry nor a readable cache file have
-        their headers checked by ``points``, then are extracted on image
+        Images with neither a memory entry nor a readable cache file are all
+        checked first (PGM header and payload length), then extracted on image
         threads (``_on_image_threads``), the bytes serial ``get`` calls give.
         Logs one INFO line: images taken from memory, from the cache and
         extracted (unreadable cache files too), the grid points extracted and
@@ -201,9 +201,9 @@ class DescriptorStore:
         return [self.get(manifest, e) for e in manifest.entries]
 
     def points(self, manifest: DatasetManifest) -> int:
-        """Grid points over the images of ``manifest``: a held set's length, else
-        the count from its PGM header. A bad header or an image smaller than one
-        patch raises ValueError naming the image, before any extraction."""
+        """Grid points over the images of ``manifest``: a held set's length, else the
+        count from its PGM file. A bad PGM file (header or payload length) or an image
+        smaller than one patch raises ValueError naming the image, before any extraction."""
         return sum(self._points(manifest, e) for e in manifest.entries)
 
     def _points(self, manifest: DatasetManifest, entry: ManifestEntry) -> int:
@@ -418,9 +418,9 @@ def _experiment(
     dict_classes) pair. Extracts only the sources and the target, all before
     the first trial, so an unreadable image fails first. Each run seed's
     dictionary refills one encoding of ``target``, classified at every n_train."""
-    # a too-large n_train or k, an n_train whose SVM lambda is 0 or inf, or a
-    # source or target image whose PGM header is bad or smaller than one patch
-    # fails before extraction: the target's pool checks its own headers first.
+    # a too-large n_train or k, an n_train whose SVM lambda is 0 or inf, or a source
+    # or target image that is a bad PGM file or smaller than one patch fails before
+    # extraction: the target's pool checks its own images first.
     # A repeated n_train would run its trials twice and write its rows twice.
     if len(set(n_train_values)) != len(n_train_values):
         raise ValueError(f"n_train values must be distinct, got {list(n_train_values)}")

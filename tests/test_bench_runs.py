@@ -3,9 +3,10 @@ output checks.
 
 ``bench/run.py`` drives the public ``bovw`` API in worker processes: it
 passes ``PipelineParams(workers=...)`` and a positional ``SplitSpec``, reads
-``encode_image(...).h`` and traces the names bound in ``bovw.harness``. A
-change to any of these fails here, at the benchmark's tiny size (a few
-seconds per workload). The runs write only under the ignored ``.bench_work/``.
+``encode_image(...).h`` and, with ``--trace 1``, wraps the names bound in
+``bovw.harness`` and reads their arguments by position or keyword. A change
+to any of these fails here, at the benchmark's tiny size (a few seconds per
+workload and mode). The runs write only under the ignored ``.bench_work/``.
 """
 
 import json
@@ -18,11 +19,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["extract-cold", "crossbase-warm", "sweep-hardavg"])
-def test_workload_runs_correctly_at_tiny_size(workload):
+WORKLOADS = ["extract-cold", "crossbase-warm", "sweep-hardavg"]
+
+
+@pytest.mark.parametrize("workload, trace", [
+    *(pytest.param(w, "0", id=w) for w in WORKLOADS),
+    *(pytest.param(w, "1", id=f"{w}-trace") for w in WORKLOADS),
+])
+def test_workload_runs_correctly_at_tiny_size(workload, trace):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
-         "--seconds", "0", "--trace", "0", "--scale", "tiny"],
+         "--seconds", "0", "--trace", trace, "--scale", "tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -119,8 +119,8 @@ class TestPgm:
 
 
 class TestImageSize:
-    def test_header_across_the_first_read(self, tmp_path):
-        # comments push every header token across the bytes read first
+    def test_long_header_comments(self, tmp_path):
+        # comment lines of 231 to 270 bytes, and of 5,001, before the size tokens
         path = tmp_path / "c.pgm"
         for pad in range(230, 270):
             path.write_bytes(b"P5\n#" + b"x" * pad + b"\n300 2\n255\n" + bytes(600))
@@ -135,6 +135,8 @@ class TestImageSize:
         (b"P5\n2 x2\n255\n" + bytes(4), "malformed header token"),
         (b"P5\n0 2\n255\n", "invalid dimensions"),
         (b"P5\n2 2", "truncated header"),
+        (b"P5\n2 2\n255", r"truncated payload \(0 bytes, expected 4\)$"),
+        (b"P5\n2 2\n255\n" + bytes(5), "trailing bytes after 4-byte payload"),
     ])
     def test_bad_header_raises_as_load_image_does(self, tmp_path, data, message):
         path = tmp_path / "bad.pgm"
@@ -143,9 +145,12 @@ class TestImageSize:
             with pytest.raises(ValueError, match=message):
                 read(path)
 
-    def test_payload_is_not_read(self, tmp_path):
+    def test_payload_length_is_checked(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n64 48\n255\n" + bytes(5))
+        with pytest.raises(ValueError, match=r"truncated payload \(5 bytes, expected 3072\)$"):
+            image_size(path)
+        path.write_bytes(b"P5\n64 48\n255\n" + bytes(64 * 48))
         assert image_size(path) == (64, 48)
 
 

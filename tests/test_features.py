@@ -48,6 +48,13 @@ class TestGridParams:
         with pytest.raises(ValueError):
             GridParams(stride=stride, patch_size=patch)
 
+    def test_cache_header_u32_bounds_both(self):
+        GridParams(stride=2**32 - 1, patch_size=2**32 - 4)
+        with pytest.raises(ValueError, match=r"^stride must be in \[1, 2\^32\), got 4294967296$"):
+            GridParams(stride=2**32)
+        with pytest.raises(ValueError, match=r"^patch_size must be .* got 4294967296$"):
+            GridParams(patch_size=2**32)
+
 
 class TestDenseGrid:
     def test_single_fitting_patch(self):

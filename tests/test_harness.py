@@ -640,7 +640,7 @@ class TestPool:
         assert all(np.array_equal(a.descriptors, b) for a, b in zip(got, want, strict=True))
 
     def test_blas_threads_restored_after_success_and_unreadable_image(
-            self, micro_corpus, tmp_path, extractions):
+            self, micro_corpus, tmp_path, extractions, monkeypatch):
         blas = bovw.harness._openblas_threads()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
@@ -651,17 +651,35 @@ class TestPool:
             DescriptorStore(GridParams()).pool(micro_corpus)
             assert get_threads() == 2 and {b for _, b in extractions} == {1}
 
-            entries = micro_corpus.entries[:6]
-            for e in entries:
-                (tmp_path / e.path).parent.mkdir(parents=True, exist_ok=True)
-                (tmp_path / e.path).write_bytes(micro_corpus.resolve(e).read_bytes())
-            (tmp_path / entries[3].path).write_bytes(b"P5 48 48 255\n" + bytes(100))
-            broken = DatasetManifest("broken", entries, base_dir=tmp_path)
-            with pytest.raises(ValueError, match="truncated payload"):
-                DescriptorStore(GridParams(), cache_dir=tmp_path / "cache").pool(broken)
+            # the fourth image passes the store's check, then fails to load on its thread
+            unreadable = micro_corpus.resolve(micro_corpus.entries[3])
+            real_load = bovw.harness.load_image
+
+            def load(path):
+                if path == unreadable:
+                    raise ValueError(f"{path}: changed after its check")
+                return real_load(path)
+
+            monkeypatch.setattr(bovw.harness, "load_image", load)
+            with pytest.raises(ValueError, match="changed after its check"):
+                DescriptorStore(GridParams(), cache_dir=tmp_path / "cache").pool(micro_corpus)
             assert get_threads() == 2
         finally:
             set_threads(initial)
+
+    def test_truncated_image_fails_before_any_extraction(self, micro_corpus, tmp_path,
+                                                         extractions):
+        entries = micro_corpus.entries[:6]
+        for e in entries:
+            (tmp_path / e.path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / e.path).write_bytes(micro_corpus.resolve(e).read_bytes())
+        (tmp_path / entries[3].path).write_bytes(b"P5 48 48 255\n" + bytes(100))
+        broken = DatasetManifest("broken", entries, base_dir=tmp_path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / entries[3].path))}: "
+                                             r"truncated payload \(100 bytes, expected 2304\)$"):
+            DescriptorStore(GridParams(), cache_dir=tmp_path / "cache").pool(broken)
+        assert extractions == []
+        assert not (tmp_path / "cache").exists()
 
     def test_warm_pool_constructs_no_executor(self, micro_corpus, tmp_path, extractions,
                                               monkeypatch):
@@ -1095,6 +1113,19 @@ class TestCli:
         assert not cache.exists()
         assert not (tmp_path / "b.bin").exists()
 
+    def test_extract_checks_the_payload_before_counting_the_grid(self, tmp_path):
+        # a 10^16-pixel header over 1,000 payload bytes: no grid of that size is counted
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n100000000 100000000\n255\n" + bytes(1000))
+        (tmp_path / "huge.manifest").write_text(f"{path}\tblocks\n")
+        cache = tmp_path / "cache"
+        out = run_cli("extract", "--manifest", str(tmp_path / "huge.manifest"),
+                      "--cache-dir", str(cache))
+        assert out.returncode == 2
+        assert out.stderr == (f"bovw extract: error: {path}: truncated payload "
+                              "(1000 bytes, expected 10000000000000000)\n")
+        assert not cache.exists()
+
     @pytest.mark.parametrize("argv, message", [
         pytest.param("codebook --manifest {m} --k 12 --cache-dir {t}/cache --out {t}/cb.bin "
                      "--seed -3", SEED_ERROR, id="codebook-seed"),
@@ -1168,6 +1199,9 @@ class TestCli:
                      "--cache-dir {t}/cache --out {t}/res.csv",
                      "bovw crossbase: error: n_train values must be distinct, got [2, 2]",
                      id="crossbase-ntrain-repeated"),
+        pytest.param("extract --manifest {m} --cache-dir {t}/cache --stride 4294967296",
+                     "bovw extract: error: stride must be in [1, 2^32), got 4294967296",
+                     id="extract-stride-beyond-u32"),
     ])
     def test_usage_error_writes_nothing(self, tmp_path, micro_corpus, micro_bows, argv, message):
         fill = functools.partial(str.format, m=micro_corpus.base_dir / "micro.manifest",
