@@ -171,6 +171,8 @@ class DescriptorStore:
             if not existing.is_dir():
                 raise ValueError(f"cache directory {self.cache_dir}: {existing} is not a directory")
         self._memory: dict[Path, DescriptorSet] = {}
+        # sets that ``points`` loaded from cache files; the next pool counts them as from the cache
+        self._counted: set[Path] = set()
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
         ds = self._stored(manifest, entry)
@@ -182,10 +184,11 @@ class DescriptorStore:
         Images with neither a memory entry nor a readable cache file are all
         checked first (PGM header and payload length), then extracted on image
         threads (``_on_image_threads``), the bytes serial ``get`` calls give.
-        Logs one INFO line: images taken from memory, from the cache and
-        extracted (unreadable cache files too), the grid points extracted and
-        extraction seconds."""
-        in_memory = sum(manifest.resolve(e) in self._memory for e in manifest.entries)
+        Logs one INFO line: images taken from memory, from the cache (also by
+        ``points`` since the last pool) and extracted (unreadable cache files
+        too), the grid points extracted and extraction seconds."""
+        paths = [manifest.resolve(e) for e in manifest.entries]
+        in_memory = sum(p in self._memory and p not in self._counted for p in paths)
         unreadable: list[tuple[Path, ValueError]] = []
         misses = [e for e in manifest.entries if self._stored(manifest, e, unreadable) is None]
         if unreadable:  # one line, not one per file
@@ -198,13 +201,22 @@ class DescriptorStore:
         logger.info("pool %s: %d from memory, %d from cache, %d extracted (%d points) in %.3f s",
                     manifest.name, in_memory, len(manifest) - in_memory - len(misses),
                     len(misses), points, seconds)
+        self._counted.difference_update(paths)
         return [self.get(manifest, e) for e in manifest.entries]
 
     def points(self, manifest: DatasetManifest) -> int:
-        """Grid points over the images of ``manifest``: a held set's length, else the
-        count from its PGM file. A bad PGM file (header or payload length) or an image
-        smaller than one patch raises ValueError naming the image, before any extraction."""
-        return sum(self._points(manifest, e) for e in manifest.entries)
+        """Grid points over the images of ``manifest``: a held set's length, else a
+        readable cache file's (its set is then held), else the count from its PGM file.
+        A bad PGM file (header or payload length) or an image smaller than one patch
+        raises ValueError naming the image, before any extraction."""
+        total = 0
+        for entry in manifest.entries:
+            path = manifest.resolve(entry)
+            # an unreadable cache file is counted from its image, and pool warns of it
+            if path not in self._memory and self._stored(manifest, entry, []) is not None:
+                self._counted.add(path)
+            total += self._points(manifest, entry)
+        return total
 
     def _points(self, manifest: DatasetManifest, entry: ManifestEntry) -> int:
         path = manifest.resolve(entry)
@@ -328,8 +340,12 @@ def confidence_interval(
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS bundled with numpy, or
-    None where numpy ships no such library (another BLAS or platform)."""
+    """(get, set, shutdown) for the OpenBLAS bundled with numpy, or None where
+    numpy ships no such library (another BLAS or platform). get and set read
+    and set its thread count; shutdown (``blas_thread_shutdown_``, which
+    OpenBLAS also registers with ``pthread_atfork``) ends its server threads,
+    which its next multi-threaded call starts again, and is None in a library
+    without it. The count and the threads are the process's, not a caller's."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):
         try:
@@ -339,7 +355,10 @@ def _openblas_threads():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        return get, set_, shutdown
     return None
 
 
@@ -353,10 +372,15 @@ def _on_image_threads(fn, jobs: Sequence, threaded: bool = True) -> None:
     """Call ``fn`` on every job: on one thread per core, with the BLAS
     library pinned to one thread meanwhile and its thread count restored
     afterwards, also on an error (the first job's exception, in job order, is
-    raised, and ``Executor.map`` cancels every job still queued then). A plain
-    loop in the calling thread instead when ``threaded`` is false, on one
-    core or for one job, or when BLAS threads cannot be pinned (unpinned
-    image threads were slower than the loop)."""
+    raised, and ``Executor.map`` cancels every job still queued then). Each
+    time it sets the count, it also shuts BLAS's server thread down where the
+    library can, since setting the count starts a shut-down server, and an
+    idle server spins on a core for a while: during the jobs, a core the image
+    threads need. BLAS's next multi-threaded call starts it again. A plain loop in the
+    calling thread instead when ``threaded`` is false, on one core or for one
+    job, or when BLAS threads cannot be pinned (unpinned image threads were
+    slower than the loop). BLAS's thread count and threads are the process's,
+    not a caller's, so this is not for calls from two threads at once."""
     workers = min(_cores(), len(jobs))
     blas = _openblas_threads() if threaded and workers > 1 else None
     if blas is None:
@@ -367,15 +391,21 @@ def _on_image_threads(fn, jobs: Sequence, threaded: bool = True) -> None:
     # imported here, so that the serial loop loads no executor module (+0.4 MiB)
     from concurrent.futures import ThreadPoolExecutor
 
-    get_threads, set_threads = blas
+    get_threads, set_threads, shutdown = blas
+
+    def set_count(count: int) -> None:
+        set_threads(count)
+        if shutdown is not None:
+            shutdown()
+
     previous = get_threads()
-    set_threads(1)
+    set_count(1)
     try:
         with ThreadPoolExecutor(max_workers=workers) as executor:
             for _ in executor.map(fn, jobs):
                 pass
     finally:
-        set_threads(previous)
+        set_count(previous)
 
 
 def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,

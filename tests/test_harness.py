@@ -2,6 +2,7 @@ import ast
 import functools
 import hashlib
 import logging
+import os
 import re
 import shlex
 import shutil
@@ -12,6 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -443,6 +445,34 @@ class TestExperiments:
         diversity_sweep(micro_corpus, [1, 3], micro_corpus, 2, spec, micro_params,
                         store=micro_store)
 
+    def test_warm_cache_counts_points_without_reading_images(self, micro_corpus, micro_params,
+                                                             tmp_path, monkeypatch, caplog):
+        grid, cache, n = micro_params.grid, tmp_path / "cache", len(micro_corpus)
+        DescriptorStore(grid, cache_dir=cache).pool(micro_corpus)
+        sized, real = [], bovw.harness.image_size
+        monkeypatch.setattr(bovw.harness, "image_size", lambda path: sized.append(path) or real(path))
+        caplog.set_level(logging.INFO, logger="bovw.harness")
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+
+        def pool_counts():
+            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pool ")]
+            caplog.clear()
+            return [tuple(map(int, re.findall(r"\d+", line.split(":")[1])[:4])) for line in lines]
+
+        rows = cross_base_experiment(micro_corpus, micro_corpus, [2], spec, micro_params,
+                                     store=DescriptorStore(grid, cache_dir=cache))
+        assert sized == []
+        assert pool_counts() == [(0, n, 0, 0), (n, 0, 0, 0), (n, 0, 0, 0)]
+
+        # an unreadable cache file is counted from its image and warned of once, by the pool
+        bad = micro_corpus.resolve(micro_corpus.entries[4])
+        cache_path(cache, bad, grid).write_bytes(b"BVWD")
+        again = cross_base_experiment(micro_corpus, micro_corpus, [2], spec, micro_params,
+                                      store=DescriptorStore(grid, cache_dir=cache))
+        assert set(sized) == {bad} and again == rows
+        assert [r.levelname for r in caplog.records].count("WARNING") == 1
+        assert pool_counts() == [(0, n - 1, 1, 36), (n, 0, 0, 0), (n, 0, 0, 0)]
+
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
                                                             micro_params):
         spec = SplitSpec(n_train_per_class=3, run_seeds=(0, 1))
@@ -644,7 +674,7 @@ class TestPool:
         blas = bovw.harness._openblas_threads()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
-        get_threads, set_threads = blas
+        get_threads, set_threads, _ = blas
         initial = get_threads()
         set_threads(2)  # not the pinned 1, so a count left at 1 shows
         try:
@@ -729,7 +759,7 @@ class TestPool:
         threads = [4]
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
         monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None))
         gradient_tables.cache_clear()
         patch_tables.cache_clear()
         interval = sys.getswitchinterval()
@@ -785,7 +815,7 @@ class TestPool:
         threads = [4]
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
         monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None))
         errors, started = [OSError("first in job order"), OSError("first in time")], []
 
         def job(i):
@@ -820,6 +850,99 @@ class TestPool:
         n = len(micro_corpus)
         assert counts == [("0", "0", str(n), str(n * 36)), ("2", str(n - 3), "1", "36"),
                           (str(n), "0", "0", "0")]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="lists threads in Linux's /proc")
+class TestOpenblasShutdown:
+    """Image threads shut down the idle server thread of numpy's OpenBLAS,
+    which would otherwise spin on a core after a multi-threaded call, and
+    OpenBLAS starts it again at its next one. ``_cores`` is pinned to 2."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        blas = bovw.harness._openblas_threads()
+        if blas is None or blas[2] is None:
+            pytest.skip("numpy bundles no OpenBLAS that can shut down its threads")
+        if blas[0]() < 2:
+            pytest.skip("OpenBLAS runs on one thread")
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
+        return blas
+
+    @staticmethod
+    def foreign_threads() -> set[int]:
+        """This process's threads that Python did not start: numpy's OpenBLAS
+        server, and other libraries' (scipy bundles an OpenBLAS of its own)."""
+        python = {t.native_id for t in threading.enumerate()}
+        return {int(tid) for tid in os.listdir("/proc/self/task")} - python
+
+    @staticmethod
+    def gemm() -> bytes:
+        a = np.arange(256 * 256, dtype=np.float64).reshape(256, 256) % 251 / 7
+        return (a @ a.T).tobytes()
+
+    def started_by_gemm(self) -> tuple[set[int], bytes, set[int]]:
+        """The foreign threads left once numpy's OpenBLAS is shut down, then a
+        multi-threaded GEMM's bytes and the server threads it started."""
+        bovw.harness._on_image_threads(lambda job: None, range(2))
+        others = self.foreign_threads()
+        out = self.gemm()
+        started = self.foreign_threads() - others
+        assert started, "a multi-threaded GEMM started no server thread"
+        return others, out, started
+
+    def test_image_threads_shut_the_server_down_and_gemm_restarts_it(self, blas):
+        initial = blas[0]()
+        others, before, _ = self.started_by_gemm()
+
+        def shut_down() -> bool:
+            return wait_for(lambda: self.foreign_threads() <= others)
+
+        seen = []
+        bovw.harness._on_image_threads(lambda job: seen.append((blas[0](), shut_down())),
+                                       range(4))
+        assert seen == [(1, True)] * 4  # shut down before the first job
+        assert blas[0]() == initial
+        # setting the count back starts a server, which is shut down again
+        assert shut_down()
+        assert self.gemm() == before
+        assert self.foreign_threads() - others
+
+    @pytest.mark.parametrize("jobs, threaded", [(4, False), (1, True)])
+    def test_a_serial_call_leaves_the_server(self, blas, jobs, threaded):
+        _, _, started = self.started_by_gemm()
+        bovw.harness._on_image_threads(lambda job: None, range(jobs), threaded)
+        assert started <= self.foreign_threads()
+
+    def test_a_library_without_shutdown_pins_and_restores(self, blas, monkeypatch):
+        real = bovw.harness.ctypes.CDLL
+
+        def without_shutdown(path):
+            lib = real(path)
+            return SimpleNamespace(
+                scipy_openblas_get_num_threads64_=lib.scipy_openblas_get_num_threads64_,
+                scipy_openblas_set_num_threads64_=lib.scipy_openblas_set_num_threads64_)
+
+        initial = blas[0]()
+        _, _, started = self.started_by_gemm()
+        monkeypatch.setattr(bovw.harness.ctypes, "CDLL", without_shutdown)
+        monkeypatch.setattr(bovw.harness, "_openblas_threads",
+                            functools.cache(bovw.harness._openblas_threads.__wrapped__))
+        assert bovw.harness._openblas_threads()[2] is None
+        seen = []
+        bovw.harness._on_image_threads(lambda job: seen.append(blas[0]()), range(4))
+        assert seen == [1] * 4 and blas[0]() == initial
+        assert started <= self.foreign_threads()
+
+
+def wait_for(condition, timeout: float = 2.0) -> bool:
+    """Whether ``condition()`` holds within ``timeout`` seconds: a joined
+    thread can stay listed in /proc for a moment after its join returns."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 class TestSummaryCsv:
