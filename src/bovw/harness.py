@@ -16,6 +16,7 @@ import ctypes
 import functools
 import logging
 import os
+import threading
 import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from .classifier import TrainConfig, accuracy, svm_lambda, train_ovr
 from .codebook import Codebook, build_random_codebook, check_pool_size
 from .corpus import DatasetManifest, ManifestEntry, image_size, load_image, select_classes
-from .encoding import CHUNK_ROWS, EncodingParams, encode_image, word_plan
+from .encoding import EncodingParams, encode_image, word_plan
 from .features import (
     DescriptorSet,
     GridParams,
@@ -368,28 +369,29 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _on_image_threads(fn, jobs: Sequence, threaded: bool = True) -> None:
-    """Call ``fn`` on every job: on one thread per core, with the BLAS
-    library pinned to one thread meanwhile and its thread count restored
-    afterwards, also on an error (the first job's exception, in job order, is
-    raised, and ``Executor.map`` cancels every job still queued then). Each
-    time it sets the count, it also shuts BLAS's server thread down where the
-    library can, since setting the count starts a shut-down server, and an
-    idle server spins on a core for a while: during the jobs, a core the image
-    threads need. BLAS's next multi-threaded call starts it again. A plain loop in the
-    calling thread instead when ``threaded`` is false, on one core or for one
-    job, or when BLAS threads cannot be pinned (unpinned image threads were
-    slower than the loop). BLAS's thread count and threads are the process's,
-    not a caller's, so this is not for calls from two threads at once."""
+def _on_image_threads(fn, jobs: Sequence) -> None:
+    """Call ``fn`` on every job on one thread per core: the calling thread and
+    ``min(cores, jobs) - 1`` helper threads, each taking the next job from one
+    shared iterator, so that each job runs once. BLAS is pinned to one thread
+    meanwhile and its thread count restored afterwards, also on an error. The
+    first failed job's exception in job order is raised (an interrupt or exit
+    before any other); after a failure, or an interrupt of the calling thread
+    (also while it joins the helpers), no thread starts another job, and the
+    running ones end before it raises. Each time it sets the count, it also
+    shuts BLAS's server thread down where the library can, since setting the
+    count starts a shut-down server, and an idle server spins on a core for a
+    while: during the jobs, a core the image threads need. BLAS's next
+    multi-threaded call starts it again. A plain loop in the calling thread
+    instead on one core, for one job, or when BLAS threads cannot be pinned
+    (unpinned image threads were slower than the loop). BLAS's thread count
+    and threads are the process's, not a caller's, so this is not for calls
+    from two threads at once."""
     workers = min(_cores(), len(jobs))
-    blas = _openblas_threads() if threaded and workers > 1 else None
+    blas = _openblas_threads() if workers > 1 else None
     if blas is None:
         for job in jobs:
             fn(job)
         return
-
-    # imported here, so that the serial loop loads no executor module (+0.4 MiB)
-    from concurrent.futures import ThreadPoolExecutor
 
     get_threads, set_threads, shutdown = blas
 
@@ -398,14 +400,48 @@ def _on_image_threads(fn, jobs: Sequence, threaded: bool = True) -> None:
         if shutdown is not None:
             shutdown()
 
+    lock = threading.Lock()
+    pending = enumerate(jobs)
+    failures: list[tuple[int, BaseException]] = []  # (job index, exception); one stops all
+
+    def take() -> tuple[int, object] | None:
+        with lock:
+            return None if failures else next(pending, None)
+
+    def run(index: int, job) -> None:
+        try:
+            fn(job)
+        except BaseException as err:  # re-raised by the calling thread
+            with lock:
+                failures.append((index, err))
+
+    def work() -> None:
+        while (taken := take()) is not None:
+            run(*taken)
+
     previous = get_threads()
     set_count(1)
+    helpers: list[threading.Thread] = []
     try:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for _ in executor.map(fn, jobs):
-                pass
+        first = take()  # taken before any helper starts, so the calling thread runs a job
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        run(*first)
+        work()
+        for helper in helpers:
+            helper.join()
+    except BaseException as err:  # an interrupt, also in a join, or a thread that cannot start
+        with lock:
+            failures.append((len(jobs), err))
+        for helper in helpers:  # their running jobs end before the count is restored
+            helper.join()
+        raise
     finally:
         set_count(previous)
+    if failures:  # an interrupt or exit before any error, then the first error in job order
+        raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
 
 
 def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
@@ -418,11 +454,9 @@ def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
     the set and the codebook as its first two positional arguments, which
     ``bench/tracing.py`` reads.
 
-    Images are encoded on image threads (``_on_image_threads``): numpy
-    releases the GIL in the GEMM and in the float64 steps after it, and every
-    row is the bytes a serial call gives. It stays a loop when the images
-    average no more than one streamed chunk of points, where threads gained
-    no time and cost memory.
+    Images are encoded on image threads (``_on_image_threads``), small images
+    too: numpy releases the GIL in the GEMM and in the float64 steps after
+    it, and every row is the bytes a serial call gives.
     """
     plan = word_plan(cb)
 
@@ -430,8 +464,7 @@ def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
         row, ds = job
         row[:] = encode_image(ds, cb, params, plan).h
 
-    jobs = list(zip(bows, sets, strict=True))
-    _on_image_threads(fill, jobs, sum(map(len, sets)) > CHUNK_ROWS * len(sets))
+    _on_image_threads(fill, list(zip(bows, sets, strict=True)))
     return bows
 
 

@@ -16,13 +16,18 @@ from bovw.harness import DescriptorStore, GridParams
 from bovw.synth import TextureSpec, generate_corpus
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m bovw ARGV`` in a child process that imports the same
-    package as the tests, installed or not."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python ARGV`` in a child process that imports the same package as
+    the tests, installed or not."""
     src = str(Path(bovw.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "bovw", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m bovw ARGV`` in a child process, as ``run_python``."""
+    return run_python("-m", "bovw", *argv)
 
 
 # a (n + 3) x 4 image holds n patches of 4 pixels at stride 1, in one row

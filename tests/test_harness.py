@@ -30,7 +30,7 @@ from bovw.corpus import (
     save_image,
     select_classes,
 )
-from bovw.encoding import CHUNK_ROWS, EncodingParams, encode_image, save_bows
+from bovw.encoding import EncodingParams, encode_image, save_bows
 from bovw.features import (
     GridParams,
     cache_path,
@@ -58,7 +58,7 @@ from bovw.harness import (
 )
 from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_texture
 
-from conftest import MICRO_SPECS, random_descriptor_set, run_cli
+from conftest import MICRO_SPECS, random_descriptor_set, run_cli, run_python
 
 
 def toy_manifest(sizes: dict[str, int]) -> DatasetManifest:
@@ -217,10 +217,22 @@ class TestRunTrial:
         assert a == b
 
 
+def assert_on_image_threads(calls: list[tuple[int, int | None]]) -> None:
+    """``calls`` holds (thread, BLAS thread count) per job of one image-threads
+    call. Where BLAS threads can be pinned, every job saw a count of 1, the
+    calling thread ran at least one job, and no more threads than cores did;
+    elsewhere the calling thread ran them all."""
+    threads, main = {thread for thread, _ in calls}, threading.get_ident()
+    if bovw.harness._openblas_threads() is None:
+        assert threads == {main}
+    else:
+        assert {blas for _, blas in calls} == {1}
+        assert main in threads and len(threads) <= bovw.harness._cores()
+
+
 class TestEncodeRows:
-    """encode_rows against one encode_image call per image. 81-point images
-    are within one chunk in every mode and stay on the calling thread;
-    600-point images go to image threads wherever BLAS threads can be pinned.
+    """encode_rows against one encode_image call per image. Images of 81 and
+    of 600 points go to image threads wherever BLAS threads can be pinned.
     ``_cores`` is pinned to 2, so the pool runs on any machine."""
 
     MODES = [("soft", "max"), ("soft", "average"), ("hard", "max"), ("hard", "average")]
@@ -250,12 +262,7 @@ class TestEncodeRows:
         sets = [random_descriptor_set(points + i, seed=i) for i in range(5)]
         want = np.array([encode_image(ds, cb, params).h for ds in sets])
         assert np.array_equal(encode_rows(np.full(want.shape, np.nan), sets, cb, params), want)
-        threaded = points > CHUNK_ROWS and bovw.harness._openblas_threads() is not None
-        main = threading.get_ident()
-        if threaded:
-            assert all(thread != main and blas == 1 for thread, blas in calls)
-        else:
-            assert {thread for thread, _ in calls} == {main}
+        assert_on_image_threads(calls)
 
     @pytest.mark.parametrize("points", [81, 600])
     def test_one_word_plan_per_call_shared_by_every_image(self, cb, calls, monkeypatch,
@@ -649,9 +656,7 @@ class TestPool:
             want_bytes = (tmp_path / "serial" / name).read_bytes()
             assert (tmp_path / "pool" / name).read_bytes() == want_bytes
         assert len(extractions) == len(micro_corpus)
-        if bovw.harness._openblas_threads() is not None:
-            main = threading.get_ident()
-            assert all(thread != main and blas == 1 for thread, blas in extractions)
+        assert_on_image_threads(extractions)
 
     def test_more_threads_than_cores_with_a_short_switch_interval(self, micro_corpus,
                                                                    monkeypatch):
@@ -711,18 +716,15 @@ class TestPool:
         assert extractions == []
         assert not (tmp_path / "cache").exists()
 
-    def test_warm_pool_constructs_no_executor(self, micro_corpus, tmp_path, extractions,
-                                              monkeypatch):
-        import concurrent.futures
-
+    def test_warm_pool_starts_no_thread(self, micro_corpus, tmp_path, extractions, monkeypatch):
         grid = GridParams()
         store = DescriptorStore(grid, cache_dir=tmp_path)
         want = store.pool(micro_corpus)
 
-        def no_executor(*args, **kwargs):
-            raise AssertionError("a warm pool constructed an executor")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a warm pool started a thread")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         del extractions[:]
         assert all(a is b for a, b in zip(store.pool(micro_corpus), want))  # memory-warm
         on_disk = DescriptorStore(grid, cache_dir=tmp_path).pool(micro_corpus)  # disk-warm
@@ -831,6 +833,89 @@ class TestPool:
         assert len(started) < 25
         assert threads == [4]
 
+    @pytest.fixture
+    def blas_count(self, monkeypatch):
+        """A faked BLAS thread count, 4 until pinned, so that jobs run on image
+        threads on any machine."""
+        threads = [4]
+        monkeypatch.setattr(bovw.harness, "_openblas_threads",
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None))
+        return threads
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_calling_thread_and_a_helper_per_further_core_run_each_job_once(
+            self, cores, blas_count, monkeypatch):
+        started, ran = [], []
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: cores)
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def job(i):
+            time.sleep(0.0005)  # frees the GIL, so that the threads interleave
+            ran.append((i, threading.get_ident()))
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bovw.harness._on_image_threads(job, range(50))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
+        assert sorted(i for i, _ in ran) == list(range(50))
+        assert threading.get_ident() in {thread for _, thread in ran}
+        assert blas_count == [4]
+
+    def test_a_failure_in_the_calling_threads_own_job_stops_the_queue(self, blas_count,
+                                                                      monkeypatch):
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
+        main, err, started, at_failure = threading.get_ident(), OSError("calling thread"), [], []
+
+        def job(i):
+            started.append(i)
+            if threading.get_ident() == main:
+                at_failure.append(len(started))
+                raise err
+            time.sleep(0.005)
+
+        with pytest.raises(OSError) as info:
+            bovw.harness._on_image_threads(job, range(50))
+        assert info.value is err
+        # the helper ends the job it runs, and at most one taken in the same instant
+        assert len(at_failure) == 1 and len(started) <= at_failure[0] + 1
+        assert blas_count == [4]
+
+    def test_image_threads_import_no_executor(self, tmp_path):
+        # concurrent.futures and its imports would add memory to every process
+        proc = run_python("-c", f"""
+import sys, threading
+import numpy as np
+from bovw import harness
+from bovw.codebook import build_random_codebook
+from bovw.encoding import EncodingParams
+from bovw.harness import DescriptorStore, GridParams, encode_rows
+from bovw.synth import generate_preset
+
+threads, seen = [4], set()
+harness._cores = lambda: 2
+harness._openblas_threads = lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None)
+real = harness.encode_image
+def traced(*args):
+    seen.add(threading.get_ident())
+    return real(*args)
+harness.encode_image = traced
+manifest = generate_preset({str(tmp_path)!r}, "textures3", images_per_class=4, size=48, seed=1)
+sets = DescriptorStore(GridParams()).pool(manifest)
+cb = build_random_codebook(sets, 20, seed=0)
+encode_rows(np.empty((len(sets), cb.k)), sets, cb, EncodingParams())
+assert "concurrent.futures" not in sys.modules
+assert len(seen) == 2 and threads == [4], (seen, threads)
+""")
+        assert proc.returncode == 0, proc.stderr
+
     def test_logs_where_each_pool_came_from(self, micro_corpus, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="bovw.harness")
         grid, entries = GridParams(), micro_corpus.entries
@@ -907,10 +992,11 @@ class TestOpenblasShutdown:
         assert self.gemm() == before
         assert self.foreign_threads() - others
 
-    @pytest.mark.parametrize("jobs, threaded", [(4, False), (1, True)])
-    def test_a_serial_call_leaves_the_server(self, blas, jobs, threaded):
+    @pytest.mark.parametrize("cores, jobs", [(1, 4), (2, 1)])
+    def test_a_serial_call_leaves_the_server(self, blas, monkeypatch, cores, jobs):
         _, _, started = self.started_by_gemm()
-        bovw.harness._on_image_threads(lambda job: None, range(jobs), threaded)
+        monkeypatch.setattr(bovw.harness, "_cores", lambda: cores)
+        bovw.harness._on_image_threads(lambda job: None, range(jobs))
         assert started <= self.foreign_threads()
 
     def test_a_library_without_shutdown_pins_and_restores(self, blas, monkeypatch):
