@@ -4,11 +4,11 @@ Each class gets a binary L2-regularized hinge-loss classifier against the
 rest. All binary problems share the per-epoch shuffled example order, so the
 joint update below is exactly the per-class sequential training.
 
-Training is bit-identical to the textbook per-update formula on float64
-arrays, with one gemv per update and the margins read as Python floats.
-Exact because every class sign y_j is +1 or -1: y_j * v only flips the
-sign of v, eta*y_j*x equals +(eta*x) or -(eta*x), and a + (-c) equals a - c
-in IEEE arithmetic (see train_ovr).
+Training keeps the weights as W = a*V, a scalar scale times a matrix (the
+Pegasos scale factor, Shalev-Shwartz, Singer & Srebro 2007), so the shrink
+of W per update is one float product, not O(C*k). It follows the textbook
+per-update formula's branches and biases, and its weights to rounding,
+unless a textbook margin lies within rounding of 1 (see train_ovr).
 """
 
 from __future__ import annotations
@@ -89,19 +89,26 @@ def train_ovr(
     order is reshuffled each epoch from the seeded generator. Deterministic:
     the same data and config always give the same model.
 
-    Bit-identical to the vectorized textbook update, per example x with
-    class signs y (+1 own, -1 rest):
+    The textbook update, per example x with class signs y (+1 own, -1 rest):
 
         margin = y * (W @ x + b); W *= 1 - eta*lam
         for violated j (margin_j < 1): W_j += (eta*y_j) * x; b_j += eta*y_j
 
-    eta and the shrink factor are formed per epoch as float64 arrays (the
-    same division and products as the scalar formula), W @ x is the same
-    gemv, and the margins are the same additions read as Python floats:
-    the own class violates when s_j + b_j < 1, any other class when
-    -(s_j + b_j) < 1, a sign flip being exact. Because y_j = +-1,
-    (eta*y_j) * x == +-(eta*x) bit for bit and a + (-c) == a - c, so one
-    eta*x per update is added to or subtracted from the violated rows.
+    runs on W = a*V: one gemv r = V @ x gives the margins a_old*r_j + b_j
+    with the scale from before the shrink, the shrink is a *= 1 - eta*lam,
+    each violated row steps by +-(eta/a)*x from one buffer, and V *= a once
+    at the end. The margins differ from the textbook's only by rounding, so
+    the two loops take the same branches and build the same biases unless a
+    textbook margin lies within rounding of 1, which structured data (small
+    integer features, one image per class) can reach. On the tests' inputs
+    the biases match tests/oracles.py byte for byte, the weights to 1e-12
+    relative.
+
+    The scale never reaches 0, so it needs no renormalization. At update 1
+    the shrink 1 - fl(1/lam)*lam mostly rounds to 0 while W is all zeros,
+    and a stays 1; otherwise it is exact (Sterbenz), so |a| >= 2**-53. Then
+    1 - eta_t*lam is 1 - 1/t up to rounding: a shrinks like 1/t, and the
+    steps eta/a stay of one size.
     """
     x = _as_matrix(x)
     n, k = x.shape
@@ -116,10 +123,12 @@ def train_ovr(
     own_class = [class_idx[l] for l in labels]
 
     lam = svm_lambda(cfg.c_reg, n)
-    w = np.zeros((len(classes), k), dtype=np.float64)
-    w_rows = list(w)  # row views, updated in place
+    v = np.zeros((len(classes), k), dtype=np.float64)
+    v_rows = list(v)  # row views, updated in place
     b = [0.0] * len(classes)
     scores = np.empty(len(classes), dtype=np.float64)
+    step = np.empty(k, dtype=np.float64)
+    a = 1.0  # W = a * V
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -127,24 +136,29 @@ def train_ovr(
         shrink = 1.0 - eta * lam
         for i, eta_t, shrink_t in zip(order.tolist(), eta.tolist(), shrink.tolist()):
             xi = x[i]
-            np.matmul(w, xi, out=scores)
-            w *= shrink_t
+            np.matmul(v, xi, out=scores)
+            a_old = a
+            if shrink_t:  # 0 only at the first update, while W is all zeros
+                a *= shrink_t
             own = own_class[i]
-            ex = None
-            for j, s_j in enumerate(scores.tolist()):
-                v = s_j + b[j]
+            stepped = False
+            for j, r_j in enumerate(scores.tolist()):
+                m = a_old * r_j + b[j]
                 if j == own:
-                    if v < 1.0:
-                        if ex is None:
-                            ex = eta_t * xi
-                        w_rows[j] += ex
+                    if m < 1.0:
+                        if not stepped:
+                            np.multiply(xi, eta_t / a, out=step)
+                            stepped = True
+                        v_rows[j] += step
                         b[j] += eta_t
-                elif -v < 1.0:
-                    if ex is None:
-                        ex = eta_t * xi
-                    w_rows[j] -= ex
+                elif -m < 1.0:
+                    if not stepped:
+                        np.multiply(xi, eta_t / a, out=step)
+                        stepped = True
+                    v_rows[j] -= step
                     b[j] -= eta_t
-    return LinearModel(weights=w, biases=np.array(b), labels=classes)
+    v *= a
+    return LinearModel(weights=v, biases=np.array(b), labels=classes)
 
 
 def decision_scores(model: LinearModel, x: np.ndarray) -> np.ndarray:

@@ -60,11 +60,25 @@ def bow_rows(n_cls, per_class, k=1000, dense=False, seed=0):
 
 
 def assert_matches_reference(x, labels, cfg):
+    """The oracle's violation path (biases, sums of +-eta in update order,
+    byte-equal) and its weights up to rounding (1e-12 relative)."""
     model = train_ovr(x, labels, cfg)
     weights, biases, classes = train_ovr_reference(x, labels, cfg.c_reg, cfg.epochs, cfg.seed)
     assert model.labels == classes
-    assert model.weights.tobytes() == weights.tobytes()
     assert model.biases.tobytes() == biases.tobytes()
+    assert np.linalg.norm(model.weights - weights) <= 1e-12 * np.linalg.norm(weights)
+    return model, weights, biases
+
+
+def ovr_objective(weights, biases, classes, x, labels, lam):
+    """The regularized hinge objective averaged over the binary problems."""
+    total = 0.0
+    for ci, c in enumerate(classes):
+        signs = np.array([1.0 if lbl == c else -1.0 for lbl in labels])
+        margins = signs * (x @ weights[ci] + biases[ci])
+        hinge = np.maximum(0.0, 1.0 - margins).mean()
+        total += 0.5 * lam * weights[ci] @ weights[ci] + hinge
+    return total / len(classes)
 
 
 class TestTrainOvr:
@@ -110,21 +124,15 @@ class TestTrainOvr:
         cfg = TrainConfig(epochs=20, seed=2)
         model = train_ovr(x, y, cfg)
         lam = 1.0 / (cfg.c_reg * len(y))
-        classes = model.labels
-        final = 0.0
-        for ci, c in enumerate(classes):
-            signs = np.array([1.0 if lbl == c else -1.0 for lbl in y])
-            margins = signs * (x @ model.weights[ci] + model.biases[ci])
-            hinge = np.maximum(0.0, 1.0 - margins).mean()
-            final += 0.5 * lam * model.weights[ci] @ model.weights[ci] + hinge
-        final /= len(classes)
+        final = ovr_objective(model.weights, model.biases, model.labels, x, y, lam)
         initial = 1.0  # hinge of the zero model; no regularization term
         assert final < initial
 
 
 class TestTrainOvrExact:
-    """train_ovr is bit-identical to the textbook vectorized update in
-    tests/oracles.py (the argument is in the train_ovr docstring)."""
+    """train_ovr takes the violation path of the textbook vectorized update
+    in tests/oracles.py, and its weights differ only by rounding (the
+    argument is in the train_ovr docstring)."""
 
     @pytest.mark.parametrize("c_reg", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("epochs", [1, 3])
@@ -178,12 +186,41 @@ class TestTrainOvrExact:
         assert_matches_reference(x, labels, TrainConfig(c_reg=c_reg, epochs=epochs, seed=seed))
 
     def test_model_bytes_pinned(self):
-        # sha256 of weights then biases, recorded with the textbook loop
+        # sha256 of weights then biases, recorded with the scale-factor loop
         # (numpy 2.4, OpenBLAS 0.3.31); gemv's summation order is the BLAS's
         x, labels = bow_rows(8, 17, seed=5)
         model = train_ovr(x, labels, TrainConfig(epochs=50, seed=17))
         digest = hashlib.sha256(model.weights.tobytes() + model.biases.tobytes()).hexdigest()
-        assert digest == "2009340d7e2ace50b6bf1e452c5f2c45d4f7e20dd247d918549365c2bae5d78e"
+        assert digest == "4caef4049f03c4a77287cf9c6f003001379a97d9b86cb531a787d97babdd5a57"
+
+
+class TestScaleFactorGate:
+    """At the scale factor's edges (a first shrink of 0 and one other than
+    0, the sweep's 50 epochs, C = 101) training takes the oracle's violation
+    path, and on held-out rows it scores as the oracle's model does: the
+    same regularized hinge objective to 1e-12 relative, and the same argmax
+    predictions."""
+
+    @pytest.mark.parametrize("n_cls, per_class, dense, epochs", [
+        (8, 17, False, 50), (8, 17, True, 50), (15, 5, False, 10), (31, 3, False, 5),
+        (31, 3, True, 5), (101, 3, False, 3), (101, 3, True, 3),
+    ], ids=["sweep-hard-avg", "sweep-soft", "C15", "first-shrink-nonzero-hard-avg",
+            "first-shrink-nonzero-soft", "C101-hard-avg", "C101-soft"])
+    def test_held_out_objective_and_predictions(self, n_cls, per_class, dense, epochs):
+        x, labels = bow_rows(n_cls, per_class, dense=dense, seed=n_cls)
+        # the first update's shrink 1 - eta_1*lambda: at c_reg = 1, fl(1/lambda)
+        # * lambda rounds away from 1 for n = 93 (also 99, 161, 186), and to 1
+        # for the other sizes here
+        lam = 1.0 / len(labels)
+        assert (1.0 - (1.0 / lam) * lam != 0.0) == (len(labels) == 93)
+        model, weights, biases = assert_matches_reference(
+            x, labels, TrainConfig(epochs=epochs, seed=n_cls + 1))
+        held_x, held_labels = bow_rows(n_cls, 4, dense=dense, seed=n_cls + 1000)
+        got = ovr_objective(model.weights, model.biases, model.labels, held_x, held_labels, lam)
+        want = ovr_objective(weights, biases, model.labels, held_x, held_labels, lam)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert np.array_equal(np.argmax(decision_scores(model, held_x), axis=1),
+                              np.argmax(held_x @ weights.T + biases, axis=1))
 
 
 class TestTrainConfig:
