@@ -66,7 +66,15 @@ class Reader:
         """The next u32-length-prefixed UTF-8 string."""
         (n,) = self.fields("<I")
         (raw,) = self.fields(f"<{n}s")
-        return raw.decode("utf-8")
+        return self.make(raw.decode, "utf-8")
+
+    def make(self, factory, *args, **kwargs):
+        """``factory(*args, **kwargs)``, whose ValueError names the file: the
+        checks of what the file holds (a string's UTF-8, a dataclass's fields)."""
+        try:
+            return factory(*args, **kwargs)
+        except ValueError as err:
+            raise ValueError(f"{self.path}: {err}") from None
 
     def array(self, dtype, count: int) -> np.ndarray:
         """The rest of the file as ``count`` items of ``dtype``: a read-only

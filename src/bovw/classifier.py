@@ -198,4 +198,5 @@ def load_model(path: str | Path) -> LinearModel:
     n_cls, k = reader.fields("<2I")
     labels = [reader.string() for _ in range(n_cls)]
     rows = reader.array("<f8", n_cls * (k + 1)).reshape(n_cls, k + 1)
-    return LinearModel(weights=rows[:, :k].copy(), biases=rows[:, k].copy(), labels=labels)
+    return reader.make(LinearModel, weights=rows[:, :k].copy(), biases=rows[:, k].copy(),
+                       labels=labels)

@@ -123,5 +123,5 @@ def load_codebook(path: str | Path) -> Codebook:
     (n_classes,) = reader.fields("<I")
     classes = tuple(reader.string() for _ in range(n_classes))
     words = reader.array(np.uint8, k * dims).reshape(k, dims)
-    return Codebook(words=words.copy(), source_name=source_name,
-                    source_classes=classes, seed=seed)
+    return reader.make(Codebook, words=words.copy(), source_name=source_name,
+                       source_classes=classes, seed=seed)

@@ -83,8 +83,8 @@ class DatasetManifest:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a ``path<TAB>label`` manifest file, named by its file stem.
 
-    ``#`` comment lines and blank lines are ignored. Raises ValueError with
-    the offending line number on malformed input.
+    ``#`` comment lines and blank lines are ignored. Raises ValueError naming
+    the file, with the offending line number on malformed input.
     """
     path = Path(path)
     if not path.is_file():
@@ -104,7 +104,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         entries.append(ManifestEntry(parts[0], parts[1]))
     if not entries:
         raise ValueError(f"manifest is empty: {path}")
-    return DatasetManifest(name=path.stem, entries=tuple(entries), base_dir=path.parent)
+    try:  # the manifest rejects a repeated path; its error names the file too
+        return DatasetManifest(name=path.stem, entries=tuple(entries), base_dir=path.parent)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

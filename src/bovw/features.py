@@ -314,7 +314,4 @@ def load_descriptor_cache(
     if (stride, patch) != (params.stride, params.patch_size):
         raise ValueError(f"{path}: cache built with stride={stride}, patch={patch}, not {params}")
     descriptors = reader.array(np.uint8, n * dims).reshape(n, dims)
-    try:  # the set checks dims and n, and its errors get the path
-        return DescriptorSet(descriptors.copy(), width, height, params, source_image)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    return reader.make(DescriptorSet, descriptors.copy(), width, height, params, source_image)

@@ -184,7 +184,9 @@ class DescriptorStore:
 
         Images with neither a memory entry nor a readable cache file are all
         checked first (PGM header and payload length), then extracted on image
-        threads (``_on_image_threads``), the bytes serial ``get`` calls give.
+        threads (``_on_image_threads``), the bytes serial ``get`` calls give;
+        two misses or more on two cores or more pin BLAS to one thread for the
+        rest of the process.
         Logs one INFO line: images taken from memory, from the cache (also by
         ``points`` since the last pool) and extracted (unreadable cache files
         too), the grid points extracted and extraction seconds."""
@@ -340,27 +342,29 @@ def confidence_interval(
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set, shutdown) for the OpenBLAS bundled with numpy, or None where
-    numpy ships no such library (another BLAS or platform). get and set read
-    and set its thread count; shutdown (``blas_thread_shutdown_``, which
-    OpenBLAS also registers with ``pthread_atfork``) ends its server threads,
-    which its next multi-threaded call starts again, and is None in a library
-    without it. The count and the threads are the process's, not a caller's."""
+def _pin_blas() -> bool:
+    """Pin the OpenBLAS bundled with numpy to one thread for the rest of the
+    process, and shut its server threads down where the library has
+    ``blas_thread_shutdown_`` (which OpenBLAS also registers with
+    ``pthread_atfork``): an idle server spins on a core for a while, a core
+    that image threads need, and one-thread calls start no server again.
+    Whether it could pin: False where numpy ships no such library (another
+    BLAS or platform). The count and the threads are the process's."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
         shutdown = getattr(lib, "blas_thread_shutdown_", None)
         if shutdown is not None:
             shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-        return get, set_, shutdown
-    return None
+            shutdown()
+        return True
+    return False
 
 
 def _cores() -> int:
@@ -372,33 +376,20 @@ def _cores() -> int:
 def _on_image_threads(fn, jobs: Sequence) -> None:
     """Call ``fn`` on every job on one thread per core: the calling thread and
     ``min(cores, jobs) - 1`` helper threads, each taking the next job from one
-    shared iterator, so that each job runs once. BLAS is pinned to one thread
-    meanwhile and its thread count restored afterwards, also on an error. The
-    first failed job's exception in job order is raised (an interrupt or exit
-    before any other); after a failure, or an interrupt of the calling thread
-    (also while it joins the helpers), no thread starts another job, and the
-    running ones end before it raises. Each time it sets the count, it also
-    shuts BLAS's server thread down where the library can, since setting the
-    count starts a shut-down server, and an idle server spins on a core for a
-    while: during the jobs, a core the image threads need. BLAS's next
-    multi-threaded call starts it again. A plain loop in the calling thread
-    instead on one core, for one job, or when BLAS threads cannot be pinned
-    (unpinned image threads were slower than the loop). BLAS's thread count
-    and threads are the process's, not a caller's, so this is not for calls
-    from two threads at once."""
+    shared iterator, so that each job runs once. Before any job, the first such
+    call pins BLAS to one thread for the rest of the process (``_pin_blas``).
+    The first failed job's exception in job order is raised (an interrupt or
+    exit before any other); after a failure, or an interrupt of the calling
+    thread (also while it joins the helpers), no thread starts another job,
+    and the running ones end before it raises. A plain loop in the calling
+    thread instead, which pins nothing, on one core, for one job or none, or
+    when BLAS cannot be pinned (unpinned image threads were slower than the
+    loop)."""
     workers = min(_cores(), len(jobs))
-    blas = _openblas_threads() if workers > 1 else None
-    if blas is None:
+    if workers < 2 or not _pin_blas():
         for job in jobs:
             fn(job)
         return
-
-    get_threads, set_threads, shutdown = blas
-
-    def set_count(count: int) -> None:
-        set_threads(count)
-        if shutdown is not None:
-            shutdown()
 
     lock = threading.Lock()
     pending = enumerate(jobs)
@@ -419,8 +410,6 @@ def _on_image_threads(fn, jobs: Sequence) -> None:
         while (taken := take()) is not None:
             run(*taken)
 
-    previous = get_threads()
-    set_count(1)
     helpers: list[threading.Thread] = []
     try:
         first = take()  # taken before any helper starts, so the calling thread runs a job
@@ -435,11 +424,9 @@ def _on_image_threads(fn, jobs: Sequence) -> None:
     except BaseException as err:  # an interrupt, also in a join, or a thread that cannot start
         with lock:
             failures.append((len(jobs), err))
-        for helper in helpers:  # their running jobs end before the count is restored
+        for helper in helpers:  # their running jobs end before the call raises
             helper.join()
         raise
-    finally:
-        set_count(previous)
     if failures:  # an interrupt or exit before any error, then the first error in job order
         raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
 
@@ -456,7 +443,9 @@ def encode_rows(bows: np.ndarray, sets: Sequence[DescriptorSet], cb: Codebook,
 
     Images are encoded on image threads (``_on_image_threads``), small images
     too: numpy releases the GIL in the GEMM and in the float64 steps after
-    it, and every row is the bytes a serial call gives.
+    it, and every row is the bytes a serial call gives. The first call with
+    two images or more on two cores or more pins BLAS to one thread for the
+    rest of the process.
     """
     plan = word_plan(cb)
 

@@ -10,19 +10,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import bovw
+import bovw.harness
 from bovw.corpus import DatasetManifest, Image, load_manifest
 from bovw.features import DescriptorSet, extract_dense_sift
 from bovw.harness import DescriptorStore, GridParams
 from bovw.synth import TextureSpec, generate_corpus
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str, **env: str) -> subprocess.CompletedProcess:
     """``python ARGV`` in a child process that imports the same package as
-    the tests, installed or not."""
+    the tests, installed or not, with ``env`` added to its environment."""
     src = str(Path(bovw.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env})
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -71,6 +72,16 @@ MICRO_SPECS = (
     TextureSpec("stripes_d", "grating", 0.11, 60.0),
     TextureSpec("blocks", "checker", 0.08, 0.0),
 )
+
+
+@pytest.fixture
+def fake_pin(monkeypatch) -> list[None]:
+    """``bovw.harness._pin_blas`` faked: it pins nothing and returns True, so
+    that jobs run on image threads on any machine, and each call appends to
+    the list returned."""
+    calls: list[None] = []
+    monkeypatch.setattr(bovw.harness, "_pin_blas", lambda: calls.append(None) or True)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -37,8 +37,9 @@ class TestManifest:
 
     def test_duplicate_path_names_offender(self, tmp_path):
         p = write(tmp_path / "m.manifest", "x.pgm\ta\nx.pgm\tb\n")
-        with pytest.raises(ValueError, match="x.pgm"):
+        with pytest.raises(ValueError) as info:
             load_manifest(p)
+        assert str(info.value) == f"{p}: duplicate image path in manifest: x.pgm"
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         p = write(tmp_path / "m.manifest", "x.pgm\ta\nbroken-line\n")

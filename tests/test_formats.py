@@ -127,6 +127,35 @@ def test_length_error_names_the_fault(fmt, tmp_path):
         load(path)
 
 
+# files whose container is whole but whose content fails its check
+CONTENT_FAULTS = {
+    "codebook-of-no-word": (
+        lambda path: binfile.write(path, CODEBOOK_MAGIC, CODEBOOK_VERSION,
+                                   struct.pack("<2Iq", 0, 128, 0), binfile.pack_str("src"),
+                                   struct.pack("<I", 0)),
+        load_codebook, "codebook needs at least one word"),
+    "model-labels-descending": (
+        lambda path: binfile.write(path, MODEL_MAGIC, MODEL_VERSION, struct.pack("<2I", 2, 1),
+                                   *map(binfile.pack_str, ["b", "a"]), np.zeros(4, dtype="<f8")),
+        load_model, "labels must be strictly ascending"),
+    "string-not-utf8": (
+        lambda path: binfile.write(path, CODEBOOK_MAGIC, CODEBOOK_VERSION,
+                                   struct.pack("<2Iq", 1, 128, 0), struct.pack("<I", 1) + b"\xff",
+                                   struct.pack("<I", 0), np.zeros(128, dtype=np.uint8)),
+        load_codebook, "'utf-8' codec can't decode byte 0xff in position 0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONTENT_FAULTS))
+def test_content_error_names_the_file(fault, tmp_path):
+    write, load, message = CONTENT_FAULTS[fault]
+    path = tmp_path / "x.bin"
+    write(path)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 @pytest.mark.parametrize("count, k", [(5, 0), (0, 3), (0, 0)])
 def test_empty_bows_file_rejected(count, k, tmp_path):
     # a header save_bows refuses to write, with no rows or no columns after it

@@ -2,7 +2,6 @@ import ast
 import functools
 import hashlib
 import logging
-import os
 import re
 import shlex
 import shutil
@@ -13,7 +12,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +56,7 @@ from bovw.harness import (
 )
 from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_texture
 
+from blas_probe import blas_threads
 from conftest import MICRO_SPECS, random_descriptor_set, run_cli, run_python
 
 
@@ -223,7 +222,7 @@ def assert_on_image_threads(calls: list[tuple[int, int | None]]) -> None:
     calling thread ran at least one job, and no more threads than cores did;
     elsewhere the calling thread ran them all."""
     threads, main = {thread for thread, _ in calls}, threading.get_ident()
-    if bovw.harness._openblas_threads() is None:
+    if not bovw.harness._pin_blas():
         assert threads == {main}
     else:
         assert {blas for _, blas in calls} == {1}
@@ -246,10 +245,10 @@ class TestEncodeRows:
     def calls(self, monkeypatch):
         """(thread, BLAS thread count or None) per encode_image call."""
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
-        real, blas, seen = bovw.harness.encode_image, bovw.harness._openblas_threads(), []
+        real, count, seen = bovw.harness.encode_image, blas_threads(), []
 
         def traced(*args):
-            seen.append((threading.get_ident(), blas and blas[0]()))
+            seen.append((threading.get_ident(), count and count()))
             return real(*args)
 
         monkeypatch.setattr(bovw.harness, "encode_image", traced)
@@ -289,40 +288,36 @@ class TestEncodeRows:
         assert all(args[1] is cb and args[3] is plans[0] and not kwargs
                    for args, kwargs in args_seen)
 
-    def test_blas_threads_restored_after_success_and_error(self, cb, calls, monkeypatch):
-        blas = bovw.harness._openblas_threads()
-        if blas is None:
+    def test_blas_stays_at_one_thread_after_success_and_error(self, cb, calls, monkeypatch):
+        # the pin is the process's: no call restores the count it found
+        count = blas_threads()
+        if count is None:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
-        initial = blas[0]()
-        blas[1](2)  # not the pinned 1, so a count left at 1 shows
-        try:
-            sets = [random_descriptor_set(300, seed=i) for i in range(4)]
-            bows = np.empty((len(sets), cb.k))
+        sets = [random_descriptor_set(300, seed=i) for i in range(4)]
+        bows = np.empty((len(sets), cb.k))
+        encode_rows(bows, sets, cb, EncodingParams())
+        assert count() == 1 and [b for _, b in calls] == [1] * len(sets)
+
+        err = ValueError("descriptor dims do not match codebook dims")
+        traced = bovw.harness.encode_image
+
+        def failing(ds, *args):
+            if ds is sets[2]:
+                raise err
+            return traced(ds, *args)
+
+        monkeypatch.setattr(bovw.harness, "encode_image", failing)
+        with pytest.raises(ValueError) as info:
             encode_rows(bows, sets, cb, EncodingParams())
-            assert blas[0]() == 2 and [b for _, b in calls] == [1] * len(sets)
-
-            err = ValueError("descriptor dims do not match codebook dims")
-            traced = bovw.harness.encode_image
-
-            def failing(ds, *args):
-                if ds is sets[2]:
-                    raise err
-                return traced(ds, *args)
-
-            monkeypatch.setattr(bovw.harness, "encode_image", failing)
-            with pytest.raises(ValueError) as info:
-                encode_rows(bows, sets, cb, EncodingParams())
-            assert info.value is err  # the worker's exception, unchanged
-            assert blas[0]() == 2
-        finally:
-            blas[1](initial)
+        assert info.value is err  # the worker's exception, unchanged
+        assert count() == 1
 
     def test_serial_when_blas_symbols_are_missing(self, cb, calls, monkeypatch):
         # a library without the thread-count symbols, looked up afresh
         monkeypatch.setattr(bovw.harness.ctypes, "CDLL", lambda path: object())
-        monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            functools.cache(bovw.harness._openblas_threads.__wrapped__))
-        assert bovw.harness._openblas_threads() is None
+        monkeypatch.setattr(bovw.harness, "_pin_blas",
+                            functools.cache(bovw.harness._pin_blas.__wrapped__))
+        assert bovw.harness._pin_blas() is False
         sets = [random_descriptor_set(600, seed=i) for i in range(4)]
         params = EncodingParams()
         want = np.array([encode_image(ds, cb, params).h for ds in sets])
@@ -632,10 +627,10 @@ class TestPool:
     def extractions(self, monkeypatch):
         """(thread, BLAS thread count or None) per extract_dense_sift call."""
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
-        real, blas, seen = bovw.harness.extract_dense_sift, bovw.harness._openblas_threads(), []
+        real, count, seen = bovw.harness.extract_dense_sift, blas_threads(), []
 
         def traced(*args, **kwargs):
-            seen.append((threading.get_ident(), blas and blas[0]()))
+            seen.append((threading.get_ident(), count and count()))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bovw.harness, "extract_dense_sift", traced)
@@ -674,33 +669,28 @@ class TestPool:
         assert len(store._memory) == len(micro_corpus)
         assert all(np.array_equal(a.descriptors, b) for a, b in zip(got, want, strict=True))
 
-    def test_blas_threads_restored_after_success_and_unreadable_image(
+    def test_blas_stays_at_one_thread_after_success_and_unreadable_image(
             self, micro_corpus, tmp_path, extractions, monkeypatch):
-        blas = bovw.harness._openblas_threads()
-        if blas is None:
+        # the pin is the process's: no call restores the count it found
+        count = blas_threads()
+        if count is None:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
-        get_threads, set_threads, _ = blas
-        initial = get_threads()
-        set_threads(2)  # not the pinned 1, so a count left at 1 shows
-        try:
-            DescriptorStore(GridParams()).pool(micro_corpus)
-            assert get_threads() == 2 and {b for _, b in extractions} == {1}
+        DescriptorStore(GridParams()).pool(micro_corpus)
+        assert count() == 1 and {b for _, b in extractions} == {1}
 
-            # the fourth image passes the store's check, then fails to load on its thread
-            unreadable = micro_corpus.resolve(micro_corpus.entries[3])
-            real_load = bovw.harness.load_image
+        # the fourth image passes the store's check, then fails to load on its thread
+        unreadable = micro_corpus.resolve(micro_corpus.entries[3])
+        real_load = bovw.harness.load_image
 
-            def load(path):
-                if path == unreadable:
-                    raise ValueError(f"{path}: changed after its check")
-                return real_load(path)
+        def load(path):
+            if path == unreadable:
+                raise ValueError(f"{path}: changed after its check")
+            return real_load(path)
 
-            monkeypatch.setattr(bovw.harness, "load_image", load)
-            with pytest.raises(ValueError, match="changed after its check"):
-                DescriptorStore(GridParams(), cache_dir=tmp_path / "cache").pool(micro_corpus)
-            assert get_threads() == 2
-        finally:
-            set_threads(initial)
+        monkeypatch.setattr(bovw.harness, "load_image", load)
+        with pytest.raises(ValueError, match="changed after its check"):
+            DescriptorStore(GridParams(), cache_dir=tmp_path / "cache").pool(micro_corpus)
+        assert count() == 1
 
     def test_truncated_image_fails_before_any_extraction(self, micro_corpus, tmp_path,
                                                          extractions):
@@ -754,14 +744,12 @@ class TestPool:
             assert np.array_equal(a.keypoints, b.keypoints)
             assert np.array_equal(a.descriptors, b.descriptors)
 
-    def test_cold_image_threads_build_each_table_once(self, micro_corpus, monkeypatch):
-        # BLAS threads are faked, so the images are extracted on two threads
-        # on any machine, and a short switch interval lets both enter the
-        # first table build unless the kernel's lock keeps one out
-        threads = [4]
+    def test_cold_image_threads_build_each_table_once(self, micro_corpus, fake_pin,
+                                                      monkeypatch):
+        # the pin is faked, so the images are extracted on two threads on any
+        # machine, and a short switch interval lets both enter the first
+        # table build unless the kernel's lock keeps one out
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
-        monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None))
         gradient_tables.cache_clear()
         patch_tables.cache_clear()
         interval = sys.getswitchinterval()
@@ -812,12 +800,9 @@ class TestPool:
         assert extractions == []
         assert not cache.exists()
 
-    def test_no_queued_job_starts_after_a_failure(self, monkeypatch):
-        # BLAS threads are faked, so the jobs run on threads on any machine
-        threads = [4]
+    def test_no_queued_job_starts_after_a_failure(self, fake_pin, monkeypatch):
+        # the pin is faked, so the jobs run on threads on any machine
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
-        monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None))
         errors, started = [OSError("first in job order"), OSError("first in time")], []
 
         def job(i):
@@ -831,20 +816,11 @@ class TestPool:
             bovw.harness._on_image_threads(job, range(50))
         assert info.value is errors[0]
         assert len(started) < 25
-        assert threads == [4]
-
-    @pytest.fixture
-    def blas_count(self, monkeypatch):
-        """A faked BLAS thread count, 4 until pinned, so that jobs run on image
-        threads on any machine."""
-        threads = [4]
-        monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None))
-        return threads
+        assert len(fake_pin) == 1
 
     @pytest.mark.parametrize("cores", [2, 4])
     def test_calling_thread_and_a_helper_per_further_core_run_each_job_once(
-            self, cores, blas_count, monkeypatch):
+            self, cores, fake_pin, monkeypatch):
         started, ran = [], []
         monkeypatch.setattr(bovw.harness, "_cores", lambda: cores)
 
@@ -867,9 +843,9 @@ class TestPool:
         assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
         assert sorted(i for i, _ in ran) == list(range(50))
         assert threading.get_ident() in {thread for _, thread in ran}
-        assert blas_count == [4]
+        assert len(fake_pin) == 1
 
-    def test_a_failure_in_the_calling_threads_own_job_stops_the_queue(self, blas_count,
+    def test_a_failure_in_the_calling_threads_own_job_stops_the_queue(self, fake_pin,
                                                                       monkeypatch):
         monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
         main, err, started, at_failure = threading.get_ident(), OSError("calling thread"), [], []
@@ -886,7 +862,7 @@ class TestPool:
         assert info.value is err
         # the helper ends the job it runs, and at most one taken in the same instant
         assert len(at_failure) == 1 and len(started) <= at_failure[0] + 1
-        assert blas_count == [4]
+        assert len(fake_pin) == 1
 
     def test_image_threads_import_no_executor(self, tmp_path):
         # concurrent.futures and its imports would add memory to every process
@@ -899,9 +875,9 @@ from bovw.encoding import EncodingParams
 from bovw.harness import DescriptorStore, GridParams, encode_rows
 from bovw.synth import generate_preset
 
-threads, seen = [4], set()
+seen = set()
 harness._cores = lambda: 2
-harness._openblas_threads = lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n), None)
+harness._pin_blas = lambda: True
 real = harness.encode_image
 def traced(*args):
     seen.add(threading.get_ident())
@@ -912,7 +888,7 @@ sets = DescriptorStore(GridParams()).pool(manifest)
 cb = build_random_codebook(sets, 20, seed=0)
 encode_rows(np.empty((len(sets), cb.k)), sets, cb, EncodingParams())
 assert "concurrent.futures" not in sys.modules
-assert len(seen) == 2 and threads == [4], (seen, threads)
+assert len(seen) == 2, seen
 """)
         assert proc.returncode == 0, proc.stderr
 
@@ -938,97 +914,92 @@ assert len(seen) == 2 and threads == [4], (seen, threads)
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="lists threads in Linux's /proc")
+@pytest.mark.skipif(blas_threads() is None or bovw.harness._cores() < 2,
+                    reason="numpy bundles no OpenBLAS, or one that runs on one core")
 class TestOpenblasShutdown:
-    """Image threads shut down the idle server thread of numpy's OpenBLAS,
-    which would otherwise spin on a core after a multi-threaded call, and
-    OpenBLAS starts it again at its next one. ``_cores`` is pinned to 2."""
+    """The first call that starts image threads pins numpy's OpenBLAS to one
+    thread and shuts its idle server thread down, for the rest of the
+    process. Each test runs in a child process whose OpenBLAS starts on two
+    threads: a pin in the tests' own process would hold for every later test."""
 
-    @pytest.fixture
-    def blas(self, monkeypatch):
-        blas = bovw.harness._openblas_threads()
-        if blas is None or blas[2] is None:
-            pytest.skip("numpy bundles no OpenBLAS that can shut down its threads")
-        if blas[0]() < 2:
-            pytest.skip("OpenBLAS runs on one thread")
-        monkeypatch.setattr(bovw.harness, "_cores", lambda: 2)
-        return blas
+    PRELUDE = f"""
+import ctypes, hashlib, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import numpy as np
+from blas_probe import blas_threads, foreign_threads, wait_for
+from bovw import harness
 
-    @staticmethod
-    def foreign_threads() -> set[int]:
-        """This process's threads that Python did not start: numpy's OpenBLAS
-        server, and other libraries' (scipy bundles an OpenBLAS of its own)."""
-        python = {t.native_id for t in threading.enumerate()}
-        return {int(tid) for tid in os.listdir("/proc/self/task")} - python
+count = blas_threads()
+real_cdll, looked = ctypes.CDLL, []  # the libraries opened after this prelude
 
-    @staticmethod
-    def gemm() -> bytes:
-        a = np.arange(256 * 256, dtype=np.float64).reshape(256, 256) % 251 / 7
-        return (a @ a.T).tobytes()
+def cdll(path, *args, **kwargs):
+    looked.append(path)
+    return real_cdll(path, *args, **kwargs)
 
-    def started_by_gemm(self) -> tuple[set[int], bytes, set[int]]:
-        """The foreign threads left once numpy's OpenBLAS is shut down, then a
-        multi-threaded GEMM's bytes and the server threads it started."""
-        bovw.harness._on_image_threads(lambda job: None, range(2))
-        others = self.foreign_threads()
-        out = self.gemm()
-        started = self.foreign_threads() - others
-        assert started, "a multi-threaded GEMM started no server thread"
-        return others, out, started
+ctypes.CDLL = cdll
+harness._cores = lambda: 2
 
-    def test_image_threads_shut_the_server_down_and_gemm_restarts_it(self, blas):
-        initial = blas[0]()
-        others, before, _ = self.started_by_gemm()
+def gemm():
+    a = np.arange(256 * 256, dtype=np.float64).reshape(256, 256) % 251 / 7
+    return hashlib.sha256((a @ a.T).tobytes()).hexdigest()
+"""
 
-        def shut_down() -> bool:
-            return wait_for(lambda: self.foreign_threads() <= others)
+    def run(self, body: str, threads: int = 2) -> str:
+        """The output of ``body``, run after the prelude in a child process
+        whose OpenBLAS starts on ``threads`` threads, which must exit cleanly."""
+        proc = run_python("-c", self.PRELUDE + body, OPENBLAS_NUM_THREADS=str(threads))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
 
-        seen = []
-        bovw.harness._on_image_threads(lambda job: seen.append((blas[0](), shut_down())),
-                                       range(4))
-        assert seen == [(1, True)] * 4  # shut down before the first job
-        assert blas[0]() == initial
-        # setting the count back starts a server, which is shut down again
-        assert shut_down()
-        assert self.gemm() == before
-        assert self.foreign_threads() - others
+    def test_image_threads_pin_once_and_park_the_server(self):
+        out = self.run("""
+from bovw.codebook import Codebook
+from bovw.encoding import EncodingParams
+from bovw.features import DescriptorSet, GridParams
 
-    @pytest.mark.parametrize("cores, jobs", [(1, 4), (2, 1)])
-    def test_a_serial_call_leaves_the_server(self, blas, monkeypatch, cores, jobs):
-        _, _, started = self.started_by_gemm()
-        monkeypatch.setattr(bovw.harness, "_cores", lambda: cores)
-        bovw.harness._on_image_threads(lambda job: None, range(jobs))
-        assert started <= self.foreign_threads()
+assert count() == 2 and foreign_threads(), "numpy's OpenBLAS runs no server thread"
+rng = np.random.default_rng(0)
+grid = GridParams(stride=1, patch_size=4)  # an 84 x 4 image holds 81 points
+sets = [DescriptorSet(rng.integers(0, 256, (81, 128), dtype=np.uint8), 84, 4, grid, "")
+        for _ in range(4)]
+cb = Codebook(rng.integers(0, 256, (50, 128), dtype=np.uint8), "words", (), 0)
+bows = np.empty((len(sets), cb.k))
+harness.encode_rows(bows, sets, cb, EncodingParams())
+assert count() == 1 and wait_for(lambda: not foreign_threads()), (count(), foreign_threads())
+print(gemm())
+assert not foreign_threads(), "a one-thread GEMM started a server thread"
+opened = len(looked)
+harness.encode_rows(bows, sets, cb, EncodingParams())
+assert len(looked) == opened >= 1, looked  # the library is not looked up again
+assert count() == 1 and wait_for(lambda: not foreign_threads())
+""")
+        one_thread = self.run("""
+assert count() == 1 and not foreign_threads()
+print(gemm())
+""", threads=1)
+        assert out == one_thread
 
-    def test_a_library_without_shutdown_pins_and_restores(self, blas, monkeypatch):
-        real = bovw.harness.ctypes.CDLL
+    @pytest.mark.parametrize("cores, jobs", [(1, 4), (2, 1), (2, 0)])  # a warm pool has no job
+    def test_a_serial_call_leaves_the_server(self, cores, jobs):
+        self.run(f"""
+harness._cores = lambda: {cores}
+servers, ran = foreign_threads(), []
+harness._on_image_threads(ran.append, range({jobs}))
+assert ran == list(range({jobs})) and count() == 2 and not looked
+assert servers and servers <= foreign_threads()
+""")
 
-        def without_shutdown(path):
-            lib = real(path)
-            return SimpleNamespace(
-                scipy_openblas_get_num_threads64_=lib.scipy_openblas_get_num_threads64_,
-                scipy_openblas_set_num_threads64_=lib.scipy_openblas_set_num_threads64_)
+    def test_a_library_without_shutdown_still_pins(self):
+        self.run("""
+from types import SimpleNamespace
 
-        initial = blas[0]()
-        _, _, started = self.started_by_gemm()
-        monkeypatch.setattr(bovw.harness.ctypes, "CDLL", without_shutdown)
-        monkeypatch.setattr(bovw.harness, "_openblas_threads",
-                            functools.cache(bovw.harness._openblas_threads.__wrapped__))
-        assert bovw.harness._openblas_threads()[2] is None
-        seen = []
-        bovw.harness._on_image_threads(lambda job: seen.append(blas[0]()), range(4))
-        assert seen == [1] * 4 and blas[0]() == initial
-        assert started <= self.foreign_threads()
-
-
-def wait_for(condition, timeout: float = 2.0) -> bool:
-    """Whether ``condition()`` holds within ``timeout`` seconds: a joined
-    thread can stay listed in /proc for a moment after its join returns."""
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return True
+ctypes.CDLL = lambda path: SimpleNamespace(
+    scipy_openblas_set_num_threads64_=real_cdll(path).scipy_openblas_set_num_threads64_)
+servers = foreign_threads()
+harness._on_image_threads(lambda job: None, range(4))
+assert harness._pin_blas() and count() == 1
+assert servers and servers <= foreign_threads()  # pinned, not shut down
+""")
 
 
 class TestSummaryCsv:
