@@ -6,13 +6,19 @@ joint update below is exactly the per-class sequential training.
 
 Training keeps the weights as W = a*V, a scalar scale times a matrix (the
 Pegasos scale factor, Shalev-Shwartz, Singer & Srebro 2007), so the shrink
-of W per update is one float product, not O(C*k). It follows the textbook
-per-update formula's branches and biases, and its weights to rounding,
-unless a textbook margin lies within rounding of 1 (see train_ovr).
+of W per update is one float product. From the same paper's kernel form, it
+keeps V's score on every training row, s[j, l] = V_j . x_l, and V itself as
+coefficients over the training rows: an update reads its margins from s and
+steps the violated rows of s by a row of the Gram matrix x @ x.T, so no
+update touches a k-long vector. It follows the textbook per-update formula's
+branches and biases, and its weights to rounding, unless a textbook margin
+lies within rounding of 1 (see train_ovr).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 import struct
@@ -60,6 +66,33 @@ class LinearModel:
             raise ValueError("biases must be (C,)")
 
 
+@functools.cache
+def _pin_blas() -> bool:
+    """Pin the OpenBLAS bundled with numpy to one thread for the rest of the
+    process, and shut its server threads down where the library has
+    ``blas_thread_shutdown_`` (which OpenBLAS also registers with
+    ``pthread_atfork``): an idle server spins on a core for a while, a core
+    that image threads or training's Python loop need, and one-thread calls
+    start no server again. Image threads (``harness``) and ``train_ovr`` call it.
+    Whether it could pin: False where numpy ships no such library (another
+    BLAS or platform). The count and the threads are the process's."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            shutdown()
+        return True
+    return False
+
+
 def _as_matrix(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -89,20 +122,32 @@ def train_ovr(
     order is reshuffled each epoch from the seeded generator. Deterministic:
     the same data and config always give the same model.
 
-    The textbook update, per example x with class signs y (+1 own, -1 rest):
+    The textbook update, per example x_i with class signs y (+1 own, -1 rest):
 
-        margin = y * (W @ x + b); W *= 1 - eta*lam
-        for violated j (margin_j < 1): W_j += (eta*y_j) * x; b_j += eta*y_j
+        margin = y * (W @ x_i + b); W *= 1 - eta*lam
+        for violated j (margin_j < 1): W_j += (eta*y_j) * x_i; b_j += eta*y_j
 
-    runs on W = a*V: one gemv r = V @ x gives the margins a_old*r_j + b_j
-    with the scale from before the shrink, the shrink is a *= 1 - eta*lam,
-    each violated row steps by +-(eta/a)*x from one buffer, and V *= a once
-    at the end. The margins differ from the textbook's only by rounding, so
+    runs on W = a*V with V_j = sum_l coef[j, l] * x_l. The Gram matrix
+    G = x @ x.T is formed once, and s[j, l] = V_j . x_l is kept for every
+    class and training row. The margins are a_old*s[j, i] + b_j, with the
+    scale from before the shrink; the shrink is a *= 1 - eta*lam; a violated
+    row j steps s_j by +-(eta/a)*G[i] (from one buffer) and coef[j, i] by
+    +-eta/a; and W = (coef @ x) * a once at the end. So an update costs a
+    C-long column read plus an n-long step per violated class, not a (C, k)
+    matrix-vector product plus k-long steps. s is V @ x.T summed in another
+    order, so the margins differ from the textbook's only by rounding, and
     the two loops take the same branches and build the same biases unless a
     textbook margin lies within rounding of 1, which structured data (small
     integer features, one image per class) can reach. On the tests' inputs
     the biases match tests/oracles.py byte for byte, the weights to 1e-12
     relative.
+
+    Memory is O(n**2) in the n training rows: G is n x n float64, so 0.15 MB
+    for the sweep's 136 rows and 73 MB for Caltech-101's 3,030 (30 per class),
+    besides the (C, n) scores and coefficients. The Gram product is BLAS's,
+    so BLAS is first pinned to one thread for the rest of the process
+    (``_pin_blas``): the updates are a Python loop, and an idle OpenBLAS
+    server thread would spin beside it.
 
     The scale never reaches 0, so it needs no renormalization. At update 1
     the shrink 1 - fl(1/lam)*lam mostly rounds to 0 while W is all zeros,
@@ -111,7 +156,7 @@ def train_ovr(
     steps eta/a stay of one size.
     """
     x = _as_matrix(x)
-    n, k = x.shape
+    n = len(x)
     if n == 0:
         raise ValueError("empty training set")
     if len(labels) != n:
@@ -123,11 +168,13 @@ def train_ovr(
     own_class = [class_idx[l] for l in labels]
 
     lam = svm_lambda(cfg.c_reg, n)
-    v = np.zeros((len(classes), k), dtype=np.float64)
-    v_rows = list(v)  # row views, updated in place
+    _pin_blas()
+    gram = x @ x.T
+    s = np.zeros((len(classes), n), dtype=np.float64)  # s[j, l] = V_j . x_l
+    s_rows = list(s)  # row views, updated in place
+    coef = [[0.0] * n for _ in classes]  # V_j = sum_l coef[j][l] * x_l
     b = [0.0] * len(classes)
-    scores = np.empty(len(classes), dtype=np.float64)
-    step = np.empty(k, dtype=np.float64)
+    step = np.empty(n, dtype=np.float64)
     a = 1.0  # W = a * V
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
@@ -135,29 +182,30 @@ def train_ovr(
         eta = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1))
         shrink = 1.0 - eta * lam
         for i, eta_t, shrink_t in zip(order.tolist(), eta.tolist(), shrink.tolist()):
-            xi = x[i]
-            np.matmul(v, xi, out=scores)
             a_old = a
             if shrink_t:  # 0 only at the first update, while W is all zeros
                 a *= shrink_t
             own = own_class[i]
+            c = eta_t / a
             stepped = False
-            for j, r_j in enumerate(scores.tolist()):
+            for j, r_j in enumerate(s[:, i].tolist()):
                 m = a_old * r_j + b[j]
                 if j == own:
                     if m < 1.0:
                         if not stepped:
-                            np.multiply(xi, eta_t / a, out=step)
+                            np.multiply(gram[i], c, out=step)
                             stepped = True
-                        v_rows[j] += step
+                        s_rows[j] += step
+                        coef[j][i] += c
                         b[j] += eta_t
                 elif -m < 1.0:
                     if not stepped:
-                        np.multiply(xi, eta_t / a, out=step)
+                        np.multiply(gram[i], c, out=step)
                         stepped = True
-                    v_rows[j] -= step
+                    s_rows[j] -= step
+                    coef[j][i] -= c
                     b[j] -= eta_t
-    v *= a
+    v = (np.array(coef) @ x) * a
     return LinearModel(weights=v, biases=np.array(b), labels=classes)
 
 

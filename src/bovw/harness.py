@@ -12,8 +12,6 @@ seeds by fixed offsets, so one integer reproduces a run end to end.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import logging
 import os
 import threading
@@ -24,6 +22,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
+from . import classifier
 from .classifier import TrainConfig, accuracy, svm_lambda, train_ovr
 from .codebook import Codebook, build_random_codebook, check_pool_size
 from .corpus import DatasetManifest, ManifestEntry, image_size, load_image, select_classes
@@ -341,32 +340,6 @@ def confidence_interval(
     return mean, mean - half, mean + half
 
 
-@functools.cache
-def _pin_blas() -> bool:
-    """Pin the OpenBLAS bundled with numpy to one thread for the rest of the
-    process, and shut its server threads down where the library has
-    ``blas_thread_shutdown_`` (which OpenBLAS also registers with
-    ``pthread_atfork``): an idle server spins on a core for a while, a core
-    that image threads need, and one-thread calls start no server again.
-    Whether it could pin: False where numpy ships no such library (another
-    BLAS or platform). The count and the threads are the process's."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-        shutdown = getattr(lib, "blas_thread_shutdown_", None)
-        if shutdown is not None:
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            shutdown()
-        return True
-    return False
-
-
 def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -377,16 +350,16 @@ def _on_image_threads(fn, jobs: Sequence) -> None:
     """Call ``fn`` on every job on one thread per core: the calling thread and
     ``min(cores, jobs) - 1`` helper threads, each taking the next job from one
     shared iterator, so that each job runs once. Before any job, the first such
-    call pins BLAS to one thread for the rest of the process (``_pin_blas``).
-    The first failed job's exception in job order is raised (an interrupt or
-    exit before any other); after a failure, or an interrupt of the calling
-    thread (also while it joins the helpers), no thread starts another job,
-    and the running ones end before it raises. A plain loop in the calling
-    thread instead, which pins nothing, on one core, for one job or none, or
-    when BLAS cannot be pinned (unpinned image threads were slower than the
-    loop)."""
+    call pins BLAS to one thread for the rest of the process
+    (``classifier._pin_blas``). The first failed job's exception in job order
+    is raised (an interrupt or exit before any other); after a failure, or an
+    interrupt of the calling thread (also while it joins the helpers), no
+    thread starts another job, and the running ones end before it raises. A
+    plain loop in the calling thread instead, which pins nothing, on one core,
+    for one job or none, or when BLAS cannot be pinned (unpinned image threads
+    were slower than the loop)."""
     workers = min(_cores(), len(jobs))
-    if workers < 2 or not _pin_blas():
+    if workers < 2 or not classifier._pin_blas():
         for job in jobs:
             fn(job)
         return

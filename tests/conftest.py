@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import bovw
-import bovw.harness
+import bovw.classifier
 from bovw.corpus import DatasetManifest, Image, load_manifest
 from bovw.features import DescriptorSet, extract_dense_sift
 from bovw.harness import DescriptorStore, GridParams
@@ -76,11 +76,11 @@ MICRO_SPECS = (
 
 @pytest.fixture
 def fake_pin(monkeypatch) -> list[None]:
-    """``bovw.harness._pin_blas`` faked: it pins nothing and returns True, so
+    """``bovw.classifier._pin_blas`` faked: it pins nothing and returns True, so
     that jobs run on image threads on any machine, and each call appends to
     the list returned."""
     calls: list[None] = []
-    monkeypatch.setattr(bovw.harness, "_pin_blas", lambda: calls.append(None) or True)
+    monkeypatch.setattr(bovw.classifier, "_pin_blas", lambda: calls.append(None) or True)
     return calls
 
 

@@ -10,9 +10,10 @@ the SVM training loop's textbook vectorized form, and
 ``random_codebook_words``: the dictionary sampler's one-draw-per-step walk.
 The library's kernels are checked against ``describe_patches_per_bin`` and
 ``random_codebook_words`` bit for bit. The library's SVM training keeps its
-weights as a scale times a matrix, so it is checked against
-``train_ovr_reference`` for the same violation path (biases byte for byte,
-the same predictions) and for weights equal up to rounding.
+weights as a scale times a matrix and reads its margins from kept scores on
+the training rows, so it is checked against ``train_ovr_reference`` for the
+same violation path (biases byte for byte, the same predictions) and for
+weights equal up to rounding.
 """
 
 from __future__ import annotations

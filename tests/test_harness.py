@@ -38,6 +38,7 @@ from bovw.features import (
     load_descriptor_cache,
     patch_tables,
 )
+import bovw.classifier
 import bovw.harness
 from bovw.harness import (
     CLASS_SEED_OFFSET,
@@ -222,7 +223,7 @@ def assert_on_image_threads(calls: list[tuple[int, int | None]]) -> None:
     calling thread ran at least one job, and no more threads than cores did;
     elsewhere the calling thread ran them all."""
     threads, main = {thread for thread, _ in calls}, threading.get_ident()
-    if not bovw.harness._pin_blas():
+    if not bovw.classifier._pin_blas():
         assert threads == {main}
     else:
         assert {blas for _, blas in calls} == {1}
@@ -314,10 +315,10 @@ class TestEncodeRows:
 
     def test_serial_when_blas_symbols_are_missing(self, cb, calls, monkeypatch):
         # a library without the thread-count symbols, looked up afresh
-        monkeypatch.setattr(bovw.harness.ctypes, "CDLL", lambda path: object())
-        monkeypatch.setattr(bovw.harness, "_pin_blas",
-                            functools.cache(bovw.harness._pin_blas.__wrapped__))
-        assert bovw.harness._pin_blas() is False
+        monkeypatch.setattr(bovw.classifier.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(bovw.classifier, "_pin_blas",
+                            functools.cache(bovw.classifier._pin_blas.__wrapped__))
+        assert bovw.classifier._pin_blas() is False
         sets = [random_descriptor_set(600, seed=i) for i in range(4)]
         params = EncodingParams()
         want = np.array([encode_image(ds, cb, params).h for ds in sets])
@@ -869,7 +870,7 @@ class TestPool:
         proc = run_python("-c", f"""
 import sys, threading
 import numpy as np
-from bovw import harness
+from bovw import classifier, harness
 from bovw.codebook import build_random_codebook
 from bovw.encoding import EncodingParams
 from bovw.harness import DescriptorStore, GridParams, encode_rows
@@ -877,7 +878,7 @@ from bovw.synth import generate_preset
 
 seen = set()
 harness._cores = lambda: 2
-harness._pin_blas = lambda: True
+classifier._pin_blas = lambda: True
 real = harness.encode_image
 def traced(*args):
     seen.add(threading.get_ident())
@@ -917,17 +918,18 @@ assert len(seen) == 2, seen
 @pytest.mark.skipif(blas_threads() is None or bovw.harness._cores() < 2,
                     reason="numpy bundles no OpenBLAS, or one that runs on one core")
 class TestOpenblasShutdown:
-    """The first call that starts image threads pins numpy's OpenBLAS to one
-    thread and shuts its idle server thread down, for the rest of the
-    process. Each test runs in a child process whose OpenBLAS starts on two
-    threads: a pin in the tests' own process would hold for every later test."""
+    """The first call that starts image threads, or trains a classifier, pins
+    numpy's OpenBLAS to one thread and shuts its idle server thread down, for
+    the rest of the process; importing bovw pins nothing. Each test runs in a
+    child process whose OpenBLAS starts on two threads: a pin in the tests'
+    own process would hold for every later test."""
 
     PRELUDE = f"""
 import ctypes, hashlib, sys
 sys.path.insert(0, {str(Path(__file__).parent)!r})
 import numpy as np
 from blas_probe import blas_threads, foreign_threads, wait_for
-from bovw import harness
+from bovw import classifier, harness
 
 count = blas_threads()
 real_cdll, looked = ctypes.CDLL, []  # the libraries opened after this prelude
@@ -989,6 +991,22 @@ assert ran == list(range({jobs})) and count() == 2 and not looked
 assert servers and servers <= foreign_threads()
 """)
 
+    def test_importing_bovw_pins_nothing(self):
+        self.run("""
+import bovw.cli  # with the prelude's harness, every module of the package
+assert count() == 2 and foreign_threads()
+""")
+
+    def test_training_pins_and_parks_the_server(self):
+        self.run("""
+from bovw.classifier import TrainConfig, train_ovr
+
+assert count() == 2 and foreign_threads(), "numpy's OpenBLAS runs no server thread"
+x = np.random.default_rng(0).random((136, 1000))  # the sweep's 8 classes x 17 rows, k = 1000
+train_ovr(x, [f"c{i % 8}" for i in range(136)], TrainConfig(epochs=1))
+assert count() == 1 and wait_for(lambda: not foreign_threads()), (count(), foreign_threads())
+""")
+
     def test_a_library_without_shutdown_still_pins(self):
         self.run("""
 from types import SimpleNamespace
@@ -997,7 +1015,7 @@ ctypes.CDLL = lambda path: SimpleNamespace(
     scipy_openblas_set_num_threads64_=real_cdll(path).scipy_openblas_set_num_threads64_)
 servers = foreign_threads()
 harness._on_image_threads(lambda job: None, range(4))
-assert harness._pin_blas() and count() == 1
+assert classifier._pin_blas() and count() == 1
 assert servers and servers <= foreign_threads()  # pinned, not shut down
 """)
 
