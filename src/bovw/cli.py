@@ -22,7 +22,6 @@ def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=60.0, help="soft-assignment kernel width")
     p.add_argument("--assignment", choices=encoding.ASSIGNMENTS, default="soft")
     p.add_argument("--pooling", choices=encoding.POOLINGS, default="max")
-    p.add_argument("--l2-normalize", action="store_true", help="L2-normalize pooled vectors")
 
 
 def _seed(text: str, low: int = 0) -> int:
@@ -57,12 +56,7 @@ def _grid(args) -> GridParams:
 
 
 def _encoding_params(args) -> encoding.EncodingParams:
-    return encoding.EncodingParams(
-        sigma=args.sigma,
-        assignment=args.assignment,
-        pooling=args.pooling,
-        l2_normalize=args.l2_normalize,
-    )
+    return encoding.EncodingParams(args.sigma, args.assignment, args.pooling)
 
 
 def _pipeline(args) -> harness.PipelineParams:

@@ -62,7 +62,6 @@ class EncodingParams:
     sigma: float = 60.0
     assignment: str = "soft"
     pooling: str = "max"
-    l2_normalize: bool = False
 
     def __post_init__(self) -> None:
         _check_sigma(self.sigma)
@@ -150,8 +149,6 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
     ``plan`` is ``word_plan(cb)``, built here when None; a plan built from
     another codebook raises ValueError.
     """
-    if ds.descriptors.shape[1] != cb.words.shape[1]:
-        raise ValueError("descriptor dims do not match codebook dims")
     if plan is None:
         plan = word_plan(cb)
     elif plan.codebook is not cb:
@@ -191,10 +188,6 @@ def encode_image(ds: DescriptorSet, cb: Codebook, params: EncodingParams,
         acc = (counts > 0).astype(np.float64) if params.pooling == "max" else counts / n
     elif params.pooling == "average":
         acc /= n
-    if params.l2_normalize:
-        norm = np.linalg.norm(acc)
-        if norm > 0:
-            acc /= norm
     return BowVector(h=acc)
 
 

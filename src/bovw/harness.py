@@ -547,8 +547,9 @@ def check_output_dir(path: str | Path) -> Path:
 
 def check_summary_csv(path: str | Path) -> bool:
     """Whether a results CSV still needs its header (it does not exist or
-    is empty). Raises ValueError if its directory does not exist or a
-    non-empty file does not start with the header."""
+    is empty). Raises ValueError if its directory does not exist, or a
+    non-empty file does not start with the header or does not end with a
+    newline (a run killed mid-append left its last row incomplete)."""
     path = check_output_dir(path)
     if not path.exists() or path.stat().st_size == 0:
         return True
@@ -556,6 +557,8 @@ def check_summary_csv(path: str | Path) -> bool:
         header = next(csv.reader(fh), None)
     if header != CSV_COLUMNS:
         raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
+    if not path.read_bytes().endswith(b"\n"):
+        raise ValueError(f"{path}: last row is incomplete (no newline at the end of the file)")
     return False
 
 

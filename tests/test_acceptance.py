@@ -7,14 +7,17 @@ desk scale; a session-scoped descriptor cache keeps the whole module fast.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bovw.codebook import Codebook, build_random_codebook
+from bovw.corpus import select_classes
 from bovw.encoding import EncodingParams, encode_image, soft_assign
 from bovw.features import GridParams
 from bovw.harness import (
+    CLASS_SEED_OFFSET,
     SPLIT_SEED_OFFSET,
     DescriptorStore,
     PipelineParams,
@@ -254,6 +257,43 @@ def test_criterion_8_confidence_interval():
     assert abs(low - (0.2 - half)) <= 1e-3
     assert abs(high - (0.2 + half)) <= 1e-3
     report(8, f"({mean:.4f}, {low:.4f}, {high:.4f}) within 1e-3, {elapsed:.2e}s")
+
+
+def first_images(manifest, classes: int, per_class: int):
+    """The first ``per_class`` images of each of ``classes`` classes, chosen as
+    the sweep chooses them (``select_classes`` at the smallest run seed)."""
+    sub = select_classes(manifest, classes, min(RUNS) + CLASS_SEED_OFFSET)
+    kept = {e for label in sub.class_labels
+            for e in [e for e in sub.entries if e.label == label][:per_class]}
+    return replace(sub, entries=tuple(e for e in sub.entries if e in kept))
+
+
+def test_criterion_10_diversity_beats_size(corpora, warm_store):
+    """At an equal image count, a dictionary sampled from 8 classes beats
+    one from a single class (paired per-seed interval above 0), while six
+    times more images of the same 8 classes move accuracy by less: their
+    paired interval lies within +-0.10 and below the first one's low end."""
+    start = time.perf_counter()
+    a, _, _ = corpora
+
+    def accuracies(source):  # one row per seed, so one accuracy per seed
+        return np.array([
+            cross_base_experiment(source, a, [N_TRAIN], SplitSpec(N_TRAIN, (seed,)),
+                                  desk_params(), store=warm_store,
+                                  include_native=False)[0].mean_acc
+            for seed in RUNS])
+
+    eight = accuracies(first_images(a, 8, 1))
+    diversity = confidence_interval(eight - accuracies(first_images(a, 1, 8)))
+    size = confidence_interval(accuracies(first_images(a, 8, 6)) - eight)
+    assert diversity[1] > 0.0, diversity
+    assert -0.10 <= size[1] and size[2] <= 0.10, size
+    assert size[2] < diversity[1], (size, diversity)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    report(10, f"8 vs 1 class at 8 images {diversity[0]:+.4f} "
+               f"({diversity[1]:.4f}, {diversity[2]:.4f}); 48 vs 8 images at 8 classes "
+               f"{size[0]:+.4f} ({size[1]:.4f}, {size[2]:.4f}), {elapsed:.1f}s")
 
 
 @pytest.mark.skip(reason="full-scale reproduction needs user-supplied 15-Scenes and "

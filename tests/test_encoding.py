@@ -144,7 +144,7 @@ def exact_d2(pts, words) -> np.ndarray:
     return d2
 
 
-def pooled_reference(d2, assignment, pooling, sigma, l2_normalize) -> np.ndarray:
+def pooled_reference(d2, assignment, pooling, sigma) -> np.ndarray:
     """``soft_assign``/``hard_assign`` rows on ``d2``, pooled in the order
     encode_image pools: average sums rows in point order."""
     rows = soft_assign(d2, sigma) if assignment == "soft" else hard_assign(d2)
@@ -155,8 +155,6 @@ def pooled_reference(d2, assignment, pooling, sigma, l2_normalize) -> np.ndarray
         for row in rows:
             h += row
         h /= len(rows)
-    if l2_normalize:
-        h /= np.linalg.norm(h)
     return h
 
 
@@ -257,7 +255,7 @@ class TestEncodeImage:
             ds = grid_set(pts)
             got = encode_image(ds, make_codebook(words),
                                EncodingParams(sigma=sigma, assignment=assignment, pooling=pooling))
-            want = pooled_reference(exact_d2(pts, words), assignment, pooling, sigma, False)
+            want = pooled_reference(exact_d2(pts, words), assignment, pooling, sigma)
             assert np.array_equal(got.h, want)
 
     def test_soft_max_bounds(self):
@@ -304,12 +302,6 @@ class TestEncodeImage:
         ]
         assert np.abs(got.h - np.max(sub, axis=0)).max() <= 1e-12
 
-    def test_l2_normalize_flag(self):
-        ds = random_descriptor_set(10, 11)
-        words = np.random.default_rng(12).integers(0, 256, (5, 128))
-        bow = encode_image(ds, make_codebook(words), EncodingParams(l2_normalize=True))
-        assert np.linalg.norm(bow.h) == pytest.approx(1.0, abs=1e-12)
-
     def test_dims_mismatch_rejected_at_construction(self):
         # 128 dims are enforced on both sides of the encoder
         ds = random_descriptor_set(3, 13)
@@ -354,16 +346,15 @@ class TestExactKernel:
     def cases(self):
         return {n: (pts := extreme_bytes(n, n), exact_d2(pts, self.WORDS)) for n in self.SIZES}
 
-    @pytest.mark.parametrize("l2_normalize", [False, True])
     @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "average"),
                                                     ("soft", "average"), ("hard", "max")])
-    def test_bit_identical_at_k1000(self, cases, assignment, pooling, l2_normalize):
+    def test_bit_identical_at_k1000(self, cases, assignment, pooling):
         cb = make_codebook(self.WORDS)
         for n, (pts, d2) in cases.items():
             ds = grid_set(pts)
             for sigma in (60.0, 7.5):
-                params = EncodingParams(sigma, assignment, pooling, l2_normalize)
-                want = pooled_reference(d2, assignment, pooling, sigma, l2_normalize)
+                params = EncodingParams(sigma, assignment, pooling)
+                want = pooled_reference(d2, assignment, pooling, sigma)
                 assert np.array_equal(encode_image(ds, cb, params).h, want), (n, sigma)
 
     def test_no_state_between_calls(self, cases):
@@ -376,7 +367,7 @@ class TestExactKernel:
             params = EncodingParams(assignment=assignment, pooling=pooling)
             for pts, cb in calls:
                 ds = grid_set(pts)
-                want = pooled_reference(exact_d2(pts, cb.words), assignment, pooling, 60.0, False)
+                want = pooled_reference(exact_d2(pts, cb.words), assignment, pooling, 60.0)
                 assert np.array_equal(encode_image(ds, cb, params).h, want)
 
     @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("hard", "average"),
@@ -406,11 +397,9 @@ class TestChunkSize:
     is a running sum in point order, and the other modes cross rows only by
     an exact maximum or an integer count."""
 
-    @pytest.mark.parametrize("l2_normalize", [False, True])
     @pytest.mark.parametrize("assignment,pooling", [("soft", "max"), ("soft", "average"),
                                                     ("hard", "max"), ("hard", "average")])
-    def test_encodings_equal_across_chunk_sizes(self, monkeypatch, assignment, pooling,
-                                                l2_normalize):
+    def test_encodings_equal_across_chunk_sizes(self, monkeypatch, assignment, pooling):
         cases = [(n, extreme_bytes(n, n + 1)) for n in (1, 63, 513, 1681)]
         # small k is where numpy's reduction order could differ from point order;
         # from k = 3 the words repeat word 0, so nearest-word ties occur
@@ -419,7 +408,7 @@ class TestChunkSize:
             for n, pts in cases:
                 ds = grid_set(pts)
                 for sigma in (60.0, 7.5):
-                    params = EncodingParams(sigma, assignment, pooling, l2_normalize)
+                    params = EncodingParams(sigma, assignment, pooling)
                     got = []
                     for rows in (1, 7, 64, 192, 512):
                         monkeypatch.setattr(bovw.encoding, "CHUNK_ROWS", rows)
@@ -437,11 +426,10 @@ class TestChunkSize:
                 pts = extreme_bytes(n, n)
                 d2 = exact_d2(pts, words)
                 for sigma in (60.0, 7.5):
-                    for l2_normalize in (False, True):
-                        params = EncodingParams(sigma, "soft", "average", l2_normalize)
-                        want = pooled_reference(d2, "soft", "average", sigma, l2_normalize)
-                        assert np.array_equal(encode_image(grid_set(pts), cb, params).h, want), (
-                            len(words), n, sigma, l2_normalize)
+                    params = EncodingParams(sigma, "soft", "average")
+                    want = pooled_reference(d2, "soft", "average", sigma)
+                    assert np.array_equal(encode_image(grid_set(pts), cb, params).h, want), (
+                        len(words), n, sigma)
 
 
 class TestSliceSize:
@@ -476,8 +464,7 @@ class TestSliceSize:
     def test_bytes_equal_the_float64_formulas_at_k1000(self, monkeypatch, pooling):
         for n in self.SIZES:
             pts = extreme_bytes(n, n + 2)
-            want = pooled_reference(exact_d2(pts, TestExactKernel.WORDS), "soft", pooling,
-                                    60.0, False)
+            want = pooled_reference(exact_d2(pts, TestExactKernel.WORDS), "soft", pooling, 60.0)
             for h in self.encodings(monkeypatch, pts, TestExactKernel.WORDS, pooling):
                 assert np.array_equal(h, want), n
 

@@ -9,7 +9,7 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -1044,6 +1044,22 @@ class TestSummaryCsv:
             write_summary_csv([self._row()], path)
         assert path.read_text() == first_line + "\n1,2,3\n"
 
+    def test_torn_last_row_rejected(self, tmp_path):
+        # a run killed mid-append: appending would merge the next row into the torn one
+        path = tmp_path / "out.csv"
+        write_summary_csv([self._row()], path)
+        torn = path.read_bytes()[:-20]
+        path.write_bytes(torn)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: last row is incomplete"):
+            write_summary_csv([self._row()], path)
+        assert path.read_bytes() == torn
+
+    def test_every_encoder_setting_is_recorded(self):
+        # an encoder option that no row records would make rows indistinguishable
+        names = [f.name for f in fields(EncodingParams)]
+        assert names == ["sigma", "assignment", "pooling"]
+        assert set(names) <= set(CSV_COLUMNS)
+
     def test_row_contents(self, tmp_path):
         # float-typed fields are written as repr(float(v)), whatever type they hold
         from bovw.harness import SummaryRow
@@ -1431,6 +1447,23 @@ class TestCli:
         assert out.stderr.count("\n") == 1 and message in out.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.csv"]
         assert foreign.read_text() == "a,b,c\n1,2,3\n"
+
+    @pytest.mark.parametrize("command", ["crossbase --ntrain 3",
+                                         "sweep --class-counts 1,3 --ntrain 3"],
+                             ids=["crossbase", "sweep"])
+    def test_torn_csv_fails_before_any_extraction(self, tmp_path, micro_corpus, command):
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        torn = tmp_path / "torn.csv"
+        write_summary_csv([TestSummaryCsv()._row()], torn)
+        before = torn.read_bytes()[:-20]
+        torn.write_bytes(before)
+        out = run_cli(*command.split(), "--source", manifest, "--target", manifest, "--k", "12",
+                      "--runs", "2", "--cache-dir", str(tmp_path / "cache"), "--out", str(torn))
+        assert out.returncode == 2
+        assert out.stderr == (f"bovw {command.split()[0]}: error: {torn}: last row is "
+                              f"incomplete (no newline at the end of the file)\n")
+        assert list(tmp_path.iterdir()) == [torn]
+        assert torn.read_bytes() == before
 
     @pytest.mark.parametrize("argv", [
         "extract --manifest {m}",
