@@ -14,14 +14,16 @@ from .features import GridParams
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stride", type=int, default=6, help="grid stride in pixels")
-    p.add_argument("--patch", type=int, default=16, help="patch size in pixels")
+    p.add_argument("--stride", type=int, default=GridParams.stride, help="grid stride in pixels")
+    p.add_argument("--patch", type=int, default=GridParams.patch_size, help="patch size in pixels")
 
 
 def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, default=60.0, help="soft-assignment kernel width")
-    p.add_argument("--assignment", choices=encoding.ASSIGNMENTS, default="soft")
-    p.add_argument("--pooling", choices=encoding.POOLINGS, default="max")
+    defaults = encoding.EncodingParams()
+    p.add_argument("--sigma", type=float, default=defaults.sigma,
+                   help="soft-assignment kernel width")
+    p.add_argument("--assignment", choices=encoding.ASSIGNMENTS, default=defaults.assignment)
+    p.add_argument("--pooling", choices=encoding.POOLINGS, default=defaults.pooling)
 
 
 def _seed(text: str, low: int = 0) -> int:
@@ -38,15 +40,21 @@ def _positive(text: str) -> int:
     return _seed(text, low=1)
 
 
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    defaults = classifier.TrainConfig()
+    p.add_argument("--c-reg", type=float, default=defaults.c_reg, help="SVM regularization C")
+    p.add_argument("--epochs", type=int, default=defaults.epochs, help="SVM training epochs")
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     _add_encoding_flags(p)
-    p.add_argument("--k", type=_positive, default=1000, help="dictionary size")
+    p.add_argument("--k", type=_positive, default=harness.PipelineParams.k, help="dictionary size")
     p.add_argument("--runs", type=_positive, default=5, help="repetitions per configuration")
     p.add_argument("--seed", type=_seed, default=0, help="base seed; run i uses seed+i")
-    p.add_argument("--alpha", type=float, default=0.05, help="confidence level")
-    p.add_argument("--c-reg", type=float, default=1.0, help="SVM regularization C")
-    p.add_argument("--epochs", type=int, default=50, help="SVM training epochs")
+    p.add_argument("--alpha", type=float, default=harness.PipelineParams.alpha,
+                   help="confidence level")
+    _add_training_flags(p)
     p.add_argument("--cache-dir", default=None, help="descriptor cache directory")
     p.add_argument("--out", required=True, help="results CSV path (appended)")
 
@@ -102,16 +110,11 @@ def cmd_codebook(args) -> int:
         )
     harness.check_output_dir(args.out)  # a bad --out, --k or image fails before any extraction
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
-    codebook.check_pool_size(store.points(manifest), args.k)
+    (pool,) = store.pools([manifest], [args.k])
     if args.classes is not None:
         print(f"classes: {','.join(manifest.class_labels)}")
-    cb = codebook.build_random_codebook(
-        store.pool(manifest),
-        args.k,
-        args.seed,
-        source_name=manifest.name,
-        source_classes=manifest.class_labels,
-    )
+    cb = codebook.build_random_codebook(pool, args.k, args.seed, source_name=manifest.name,
+                                        source_classes=manifest.class_labels)
     codebook.save_codebook(cb, args.out)
     print(f"codebook {cb.codebook_id} -> {args.out}")
     return 0
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codebook", help="sample a random visual dictionary")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=_positive, default=1000)
+    p.add_argument("--k", type=_positive, default=harness.PipelineParams.k)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--classes", type=_positive, default=None,
                    help="restrict the pool to a seeded subset of this many classes")
@@ -239,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bows", required=True)
     p.add_argument("--manifest", required=True, help="labels, aligned with bow rows")
     p.add_argument("--out", required=True)
-    p.add_argument("--c-reg", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
+    _add_training_flags(p)
+    p.add_argument("--seed", type=_seed, default=classifier.TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report accuracy of a model on encoded vectors")

@@ -140,8 +140,8 @@ class PipelineParams:
     grid: GridParams = GridParams()
     encoding: EncodingParams = EncodingParams()
     k: int = 1000
-    c_reg: float = 1.0
-    epochs: int = 50
+    c_reg: float = TrainConfig.c_reg
+    epochs: int = TrainConfig.epochs
     alpha: float = 0.05
     workers: int = 1  # bench/worker.py still passes it; it goes with ROADMAP item 1
 
@@ -160,7 +160,7 @@ class DescriptorStore:
 
     Optionally persists per-image cache files so repeated CLI runs skip
     extraction; a cache file that fails to load is re-extracted and
-    rewritten, with one WARNING per ``get`` or ``pool`` call.
+    rewritten, with one WARNING per ``get`` or ``pools`` call.
     """
 
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
@@ -171,70 +171,64 @@ class DescriptorStore:
             if not existing.is_dir():
                 raise ValueError(f"cache directory {self.cache_dir}: {existing} is not a directory")
         self._memory: dict[Path, DescriptorSet] = {}
-        # sets that ``points`` loaded from cache files; the next pool counts them as from the cache
-        self._counted: set[Path] = set()
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
-        ds = self._stored(manifest, entry)
+        ds = self._stored(manifest.resolve(entry), entry)
         return ds if ds is not None else self._extract(manifest, entry)
 
     def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
-        """Descriptor sets for every entry, in manifest order.
+        """Descriptor sets for every entry, in manifest order (``pools``)."""
+        return self.pools([manifest], [0])[0]
 
-        Images with neither a memory entry nor a readable cache file are all
-        checked first (PGM header and payload length), then extracted on image
-        threads (``_on_image_threads``), the bytes serial ``get`` calls give;
-        two misses or more on two cores or more pin BLAS to one thread for the
-        rest of the process.
-        Logs one INFO line: images taken from memory, from the cache (also by
-        ``points`` since the last pool) and extracted (unreadable cache files
-        too), the grid points extracted and extraction seconds."""
-        paths = [manifest.resolve(e) for e in manifest.entries]
-        in_memory = sum(p in self._memory and p not in self._counted for p in paths)
+    def pools(self, manifests: Sequence[DatasetManifest],
+              need: Sequence[int]) -> list[list[DescriptorSet]]:
+        """Descriptor sets for every entry of each manifest, in manifest order.
+
+        Before any extraction, each image (once by path) is taken from memory, else
+        from a readable cache file, else its PGM file is checked and its grid counted:
+        the first bad image in manifest order raises ValueError, then the first
+        manifest i with fewer than ``need[i]`` points. Then each manifest's misses
+        are extracted on image threads (``_on_image_threads``; two misses or more on
+        two cores or more pin BLAS to one thread for the rest of the process), the
+        bytes serial ``get`` calls give, and one INFO line counts its images from
+        memory (or from an earlier manifest of the call), from the cache and
+        extracted (unreadable cache files too), the grid points extracted and the
+        seconds."""
+        held = set(self._memory)  # and, later, the images an earlier manifest took
         unreadable: list[tuple[Path, ValueError]] = []
-        misses = [e for e in manifest.entries if self._stored(manifest, e, unreadable) is None]
+        misses: dict[Path, int] = {}  # image -> its grid points
+        paths = [[m.resolve(e) for e in m.entries] for m in manifests]
+        for m, m_paths in zip(manifests, paths):
+            for e, path in zip(m.entries, m_paths):
+                if path in misses or self._stored(path, e, unreadable) is not None:
+                    continue
+                width, height = image_size(path)  # its errors name the image
+                try:
+                    misses[path] = len(dense_grid(width, height, self.grid))
+                except ValueError as err:
+                    raise ValueError(f"{path}: {err}") from None
         if unreadable:  # one line, not one per file
             logger.warning("re-extracting %d images with an unreadable cache file, first %s (%s)",
                            len(unreadable), *unreadable[0])
-        points = sum(self._points(manifest, e) for e in misses)  # a bad image fails here
-        started = time.perf_counter()
-        _on_image_threads(lambda e: self._extract(manifest, e), misses)
-        seconds = time.perf_counter() - started
-        logger.info("pool %s: %d from memory, %d from cache, %d extracted (%d points) in %.3f s",
-                    manifest.name, in_memory, len(manifest) - in_memory - len(misses),
-                    len(misses), points, seconds)
-        self._counted.difference_update(paths)
-        return [self.get(manifest, e) for e in manifest.entries]
+        for m_paths, at_least in zip(paths, need, strict=True):
+            check_pool_size(sum(misses[p] if p in misses else len(self._memory[p])
+                                for p in m_paths), at_least)
+        for m, m_paths in zip(manifests, paths):
+            in_memory = sum(p in held for p in m_paths)
+            todo = {p: e for e, p in zip(m.entries, m_paths) if p in misses and p not in held}
+            started = time.perf_counter()
+            _on_image_threads(lambda e: self._extract(m, e), [*todo.values()])
+            logger.info("pool %s: %d from memory, %d from cache, %d extracted (%d points) "
+                        "in %.3f s", m.name, in_memory, len(m) - in_memory - len(todo),
+                        len(todo), sum(map(misses.get, todo)), time.perf_counter() - started)
+            held.update(m_paths)
+        return [[self.get(m, e) for e in m.entries] for m in manifests]
 
-    def points(self, manifest: DatasetManifest) -> int:
-        """Grid points over the images of ``manifest``: a held set's length, else a
-        readable cache file's (its set is then held), else the count from its PGM file.
-        A bad PGM file (header or payload length) or an image smaller than one patch
-        raises ValueError naming the image, before any extraction."""
-        total = 0
-        for entry in manifest.entries:
-            path = manifest.resolve(entry)
-            # an unreadable cache file is counted from its image, and pool warns of it
-            if path not in self._memory and self._stored(manifest, entry, []) is not None:
-                self._counted.add(path)
-            total += self._points(manifest, entry)
-        return total
-
-    def _points(self, manifest: DatasetManifest, entry: ManifestEntry) -> int:
-        path = manifest.resolve(entry)
-        if path in self._memory:
-            return len(self._memory[path])
-        width, height = image_size(path)  # its errors name the image
-        try:
-            return len(dense_grid(width, height, self.grid))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-
-    def _stored(self, manifest: DatasetManifest, entry: ManifestEntry,
+    def _stored(self, path: Path, entry: ManifestEntry,
                 unreadable: list | None = None) -> DescriptorSet | None:
-        """The entry's set from memory or its cache file (then kept in memory),
-        else None; a load error is logged, or added to ``unreadable`` if given."""
-        path = manifest.resolve(entry)
+        """The set of ``entry``, whose image is ``path``, from memory or its cache
+        file (then kept in memory), else None; a load error is logged, or added to
+        ``unreadable`` if given."""
         ds = self._memory.get(path)
         if ds is not None or self.cache_dir is None:
             return ds
@@ -445,8 +439,10 @@ def _experiment(
     dictionary refills one encoding of ``target``, classified at every n_train."""
     # a too-large n_train or k, an n_train whose SVM lambda is 0 or inf, or a source
     # or target image that is a bad PGM file or smaller than one patch fails before
-    # extraction: the target's pool checks its own images first.
+    # extraction: one pools call checks every image (the target's first), then k.
     # A repeated n_train would run its trials twice and write its rows twice.
+    if not n_train_values:
+        raise ValueError("n_train_values must not be empty")
     if len(set(n_train_values)) != len(n_train_values):
         raise ValueError(f"n_train values must be distinct, got {list(n_train_values)}")
     split_balanced(target, max(n_train_values), 0)
@@ -455,10 +451,8 @@ def _experiment(
     store = store if store is not None else DescriptorStore(params.grid)
     if store.grid != params.grid:
         raise ValueError(f"store grid {store.grid} differs from params grid {params.grid}")
-    for source, _ in curves:
-        check_pool_size(store.points(source), params.k)
-    targets = store.pool(target)
-    pools = [store.pool(source) for source, _ in curves]
+    targets, *pools = store.pools([target, *(source for source, _ in curves)],
+                                  [0] + [params.k] * len(curves))
     bows = np.empty((len(target), params.k), dtype=np.float64)
 
     rows = []

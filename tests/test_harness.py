@@ -9,6 +9,7 @@ import struct
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -422,6 +423,14 @@ class TestExperiments:
                                   store=store)
         assert not (tmp_path / "cache").exists()
 
+    def test_empty_n_train_values_fail_before_any_extraction(self, micro_corpus, micro_params,
+                                                             tmp_path):
+        store = DescriptorStore(micro_params.grid, cache_dir=tmp_path / "cache")
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+        with pytest.raises(ValueError, match="^n_train_values must not be empty$"):
+            cross_base_experiment(micro_corpus, micro_corpus, [], spec, micro_params, store=store)
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
     def test_store_grid_must_match_params(self, micro_corpus, micro_params, tmp_path,
                                           experiment):
@@ -475,6 +484,62 @@ class TestExperiments:
         assert set(sized) == {bad} and again == rows
         assert [r.levelname for r in caplog.records].count("WARNING") == 1
         assert pool_counts() == [(0, n - 1, 1, 36), (n, 0, 0, 0), (n, 0, 0, 0)]
+
+    @pytest.fixture
+    def reads(self, monkeypatch) -> dict[str, Counter]:
+        """Calls per path of the store's three readers, by reader name."""
+        counts = {}
+        for name in ("image_size", "load_image", "load_descriptor_cache"):
+            real, counts[name] = getattr(bovw.harness, name), Counter()
+
+            def counted(path, *args, _real=real, _calls=counts[name], **kwargs):
+                _calls[Path(path)] += 1
+                return _real(path, *args, **kwargs)
+
+            monkeypatch.setattr(bovw.harness, name, counted)
+        return counts
+
+    @staticmethod
+    def run_experiment(experiment, corpus, params, store):
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
+        if experiment == "crossbase":
+            return cross_base_experiment(corpus, corpus, [2, 3], spec, params, store=store)
+        return diversity_sweep(corpus, [1, 2, 3], corpus, 2, spec, params, store=store)
+
+    @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
+    def test_cold_run_reads_each_image_twice_and_a_warm_run_none(self, micro_corpus,
+                                                                 micro_params, tmp_path,
+                                                                 reads, experiment):
+        grid, cache = micro_params.grid, tmp_path / "cache"
+        images = [micro_corpus.resolve(e) for e in micro_corpus.entries]
+        rows = self.run_experiment(experiment, micro_corpus, micro_params,
+                                   DescriptorStore(grid, cache_dir=cache))
+        # one check of each PGM file before any extraction, one load to extract it
+        assert reads["image_size"] == reads["load_image"] == Counter(images)
+        assert reads["load_descriptor_cache"] == Counter()
+        for calls in reads.values():
+            calls.clear()
+        again = self.run_experiment(experiment, micro_corpus, micro_params,
+                                    DescriptorStore(grid, cache_dir=cache))
+        assert again == rows
+        assert reads["image_size"] == reads["load_image"] == Counter()
+        assert reads["load_descriptor_cache"] == Counter(cache_path(cache, p, grid) for p in images)
+
+    @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
+    def test_unreadable_cache_file_is_loaded_once(self, micro_corpus, micro_params, tmp_path,
+                                                  reads, experiment):
+        grid, cache = micro_params.grid, tmp_path / "cache"
+        DescriptorStore(grid, cache_dir=cache).pool(micro_corpus)
+        # an image of the one class every sweep dictionary uses
+        image = micro_corpus.resolve(select_classes(micro_corpus, 1, CLASS_SEED_OFFSET).entries[0])
+        bad = cache_path(cache, image, grid)
+        bad.write_bytes(b"BVWD")
+        for calls in reads.values():
+            calls.clear()
+        self.run_experiment(experiment, micro_corpus, micro_params,
+                            DescriptorStore(grid, cache_dir=cache))
+        assert reads["load_descriptor_cache"][bad] == 1
+        assert reads["image_size"] == reads["load_image"] == Counter([image])
 
     def test_sweep_full_count_equals_full_source_dictionary(self, micro_corpus, micro_store,
                                                             micro_params):
@@ -612,12 +677,18 @@ class TestDescriptorStore:
         assert info.startswith(f"pool micro: 0 from memory, {len(micro_corpus) - 3} from cache, "
                                "3 extracted (108 points)")
 
-    def test_points_from_held_sets_or_pgm_headers(self, micro_corpus, micro_store):
+    def test_pools_counts_held_sets_or_pgm_headers_against_need(self, micro_corpus,
+                                                                micro_store):
         # 48x48 images hold 6x6 grid points
-        fresh = DescriptorStore(GridParams())
-        assert micro_store.points(micro_corpus) == fresh.points(micro_corpus) == 36 * len(
-            micro_corpus)
+        total, fresh = 36 * len(micro_corpus), DescriptorStore(GridParams())
+        for store in (micro_store, fresh):
+            with pytest.raises(ValueError,
+                               match=f"^pool has {total} descriptors, need at least {total + 1}$"):
+                store.pools([micro_corpus], [total + 1])
         assert fresh._memory == {}
+        for store in (micro_store, fresh):
+            (pool,) = store.pools([micro_corpus], [total])
+            assert sum(map(len, pool)) == total
 
 
 class TestPool:
@@ -1186,6 +1257,19 @@ class TestCli:
         )
         assert sweep.class_counts == [1, 6, 12, 25, 50, 101]
         assert sweep.ntrain == 30
+
+    def test_parsed_defaults_are_the_librarys(self):
+        # each default is the one the library's dataclasses hold
+        from bovw.cli import _grid, _pipeline, build_parser
+
+        parse, TrainConfig = build_parser().parse_args, bovw.classifier.TrainConfig
+        train = parse(["train", "--bows", "b", "--manifest", "m", "--out", "o"])
+        assert TrainConfig(train.c_reg, train.epochs, train.seed) == TrainConfig()
+        codebook = parse(["codebook", "--manifest", "m", "--out", "o"])
+        assert (_grid(codebook), codebook.k) == (GridParams(), PipelineParams().k)
+        for argv in (["crossbase", "--source", "s", "--target", "t", "--ntrain", "3", "--out", "o"],
+                     ["sweep", "--source", "s", "--target", "t", "--out", "o"]):
+            assert _pipeline(parse(argv)) == PipelineParams()
 
     def test_crossbase_command_writes_csv(self, tmp_path, micro_corpus):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
