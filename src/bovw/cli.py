@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
 
@@ -274,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic texture corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--corpus", choices=sorted(synth.CORPUS_PRESETS), default="textures8")
-    p.add_argument("--images-per-class", type=int, default=60)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=_seed, default=0)
+    defaults = inspect.signature(synth.generate_preset).parameters
+    p.add_argument("--images-per-class", type=int, default=defaults["images_per_class"].default)
+    p.add_argument("--size", type=int, default=defaults["size"].default)
+    p.add_argument("--seed", type=_seed, default=defaults["seed"].default)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -16,7 +16,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -160,7 +160,9 @@ class DescriptorStore:
 
     Optionally persists per-image cache files so repeated CLI runs skip
     extraction; a cache file that fails to load is re-extracted and
-    rewritten, with one WARNING per ``get`` or ``pools`` call.
+    rewritten, with one WARNING per ``pools`` call. Every set enters the
+    store through ``pools``: ``get`` of a set the store does not hold is a
+    one-entry ``pools`` call, so it checks and names the image as ``pool`` does.
     """
 
     def __init__(self, grid: GridParams, cache_dir: str | Path | None = None):
@@ -173,8 +175,9 @@ class DescriptorStore:
         self._memory: dict[Path, DescriptorSet] = {}
 
     def get(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
-        ds = self._stored(manifest.resolve(entry), entry)
-        return ds if ds is not None else self._extract(manifest, entry)
+        """The set of ``entry``: the one held in memory, else a one-entry ``pool``."""
+        ds = self._memory.get(manifest.resolve(entry))
+        return ds if ds is not None else self.pool(replace(manifest, entries=(entry,)))[0]
 
     def pool(self, manifest: DatasetManifest) -> list[DescriptorSet]:
         """Descriptor sets for every entry, in manifest order (``pools``)."""
@@ -200,8 +203,16 @@ class DescriptorStore:
         paths = [[m.resolve(e) for e in m.entries] for m in manifests]
         for m, m_paths in zip(manifests, paths):
             for e, path in zip(m.entries, m_paths):
-                if path in misses or self._stored(path, e, unreadable) is not None:
+                if path in misses or path in self._memory:
                     continue
+                cpath = self.cache_dir and cache_path(self.cache_dir, path, self.grid)
+                if cpath and cpath.is_file():
+                    try:
+                        self._memory[path] = load_descriptor_cache(cpath, self.grid,
+                                                                   source_image=e.path)
+                        continue
+                    except ValueError as err:
+                        unreadable.append((path, err))
                 width, height = image_size(path)  # its errors name the image
                 try:
                     misses[path] = len(dense_grid(width, height, self.grid))
@@ -223,28 +234,6 @@ class DescriptorStore:
                         len(todo), sum(map(misses.get, todo)), time.perf_counter() - started)
             held.update(m_paths)
         return [[self.get(m, e) for e in m.entries] for m in manifests]
-
-    def _stored(self, path: Path, entry: ManifestEntry,
-                unreadable: list | None = None) -> DescriptorSet | None:
-        """The set of ``entry``, whose image is ``path``, from memory or its cache
-        file (then kept in memory), else None; a load error is logged, or added to
-        ``unreadable`` if given."""
-        ds = self._memory.get(path)
-        if ds is not None or self.cache_dir is None:
-            return ds
-        cpath = cache_path(self.cache_dir, path, self.grid)
-        if not cpath.is_file():
-            return None
-        try:
-            ds = load_descriptor_cache(cpath, self.grid, source_image=entry.path)
-        except ValueError as err:
-            if unreadable is None:
-                logger.warning("re-extracting %s: unreadable cache file (%s)", path, err)
-            else:
-                unreadable.append((path, err))
-            return None
-        self._memory[path] = ds
-        return ds
 
     def _extract(self, manifest: DatasetManifest, entry: ManifestEntry) -> DescriptorSet:
         path = manifest.resolve(entry)

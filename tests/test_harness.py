@@ -1,6 +1,7 @@
 import ast
 import functools
 import hashlib
+import inspect
 import logging
 import re
 import shlex
@@ -60,6 +61,21 @@ from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_text
 
 from blas_probe import blas_threads
 from conftest import MICRO_SPECS, random_descriptor_set, run_cli, run_python
+
+
+@pytest.fixture
+def reads(monkeypatch) -> dict[str, Counter]:
+    """Calls per path of the store's three readers, by reader name."""
+    counts = {}
+    for name in ("image_size", "load_image", "load_descriptor_cache"):
+        real, counts[name] = getattr(bovw.harness, name), Counter()
+
+        def counted(path, *args, _real=real, _calls=counts[name], **kwargs):
+            _calls[Path(path)] += 1
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(bovw.harness, name, counted)
+    return counts
 
 
 def toy_manifest(sizes: dict[str, int]) -> DatasetManifest:
@@ -485,20 +501,6 @@ class TestExperiments:
         assert [r.levelname for r in caplog.records].count("WARNING") == 1
         assert pool_counts() == [(0, n - 1, 1, 36), (n, 0, 0, 0), (n, 0, 0, 0)]
 
-    @pytest.fixture
-    def reads(self, monkeypatch) -> dict[str, Counter]:
-        """Calls per path of the store's three readers, by reader name."""
-        counts = {}
-        for name in ("image_size", "load_image", "load_descriptor_cache"):
-            real, counts[name] = getattr(bovw.harness, name), Counter()
-
-            def counted(path, *args, _real=real, _calls=counts[name], **kwargs):
-                _calls[Path(path)] += 1
-                return _real(path, *args, **kwargs)
-
-            monkeypatch.setattr(bovw.harness, name, counted)
-        return counts
-
     @staticmethod
     def run_experiment(experiment, corpus, params, store):
         spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1))
@@ -676,6 +678,47 @@ class TestDescriptorStore:
         info = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("pool "))
         assert info.startswith(f"pool micro: 0 from memory, {len(micro_corpus) - 3} from cache, "
                                "3 extracted (108 points)")
+
+    def test_get_of_an_image_smaller_than_a_patch_names_it(self, tmp_path):
+        save_image(Image(np.zeros((10, 10), dtype=np.uint8)), tmp_path / "tiny.pgm")
+        manifest = DatasetManifest("tiny", (ManifestEntry("tiny.pgm", "tiny"),),
+                                   base_dir=tmp_path)
+        store = DescriptorStore(GridParams(), cache_dir=tmp_path / "cache")
+        with pytest.raises(ValueError) as info:
+            store.get(manifest, manifest.entries[0])
+        assert str(info.value) == (
+            f"{tmp_path / 'tiny.pgm'}: image 10x10 smaller than one 16-pixel patch")
+        assert store._memory == {}
+        assert not (tmp_path / "cache").exists()
+
+    def test_get_of_a_cut_cache_file_logs_the_pools_warning(self, micro_corpus, tmp_path,
+                                                           caplog):
+        grid, entry = GridParams(), micro_corpus.entries[0]
+        image_path = micro_corpus.resolve(entry)
+        DescriptorStore(grid, cache_dir=tmp_path).get(micro_corpus, entry)
+        cpath = cache_path(tmp_path, image_path, grid)
+        cpath.write_bytes(b"BVWD")
+        DescriptorStore(grid, cache_dir=tmp_path).get(micro_corpus, entry)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            f"re-extracting 1 images with an unreadable cache file, first {image_path} ({cpath}: ")
+        fresh = extract_dense_sift(load_image(image_path), grid)
+        assert np.array_equal(load_descriptor_cache(cpath, grid).descriptors, fresh.descriptors)
+
+    def test_get_checks_a_cold_image_once_and_reads_no_held_set(self, micro_corpus, reads,
+                                                                caplog):
+        caplog.set_level(logging.INFO, logger="bovw.harness")
+        store, entry = DescriptorStore(GridParams()), micro_corpus.entries[4]
+        image_path = micro_corpus.resolve(entry)
+        got = store.get(micro_corpus, entry)
+        assert reads["image_size"] == reads["load_image"] == Counter([image_path])
+        for calls in reads.values():
+            calls.clear()
+        caplog.clear()
+        assert store.get(micro_corpus, entry) is got
+        assert reads == {name: Counter() for name in reads}
+        assert caplog.records == []
 
     def test_pools_counts_held_sets_or_pgm_headers_against_need(self, micro_corpus,
                                                                 micro_store):
@@ -981,7 +1024,8 @@ assert len(seen) == 2, seen
                   for line in lines]
         # 48x48 images hold 6x6 grid points
         n = len(micro_corpus)
-        assert counts == [("0", "0", str(n), str(n * 36)), ("2", str(n - 3), "1", "36"),
+        assert counts == [("0", "0", str(n), str(n * 36)), ("0", "1", "0", "0"),
+                          ("0", "1", "0", "0"), ("2", str(n - 3), "1", "36"),
                           (str(n), "0", "0", "0")]
 
 
@@ -1270,6 +1314,10 @@ class TestCli:
         for argv in (["crossbase", "--source", "s", "--target", "t", "--ntrain", "3", "--out", "o"],
                      ["sweep", "--source", "s", "--target", "t", "--out", "o"]):
             assert _pipeline(parse(argv)) == PipelineParams()
+        synth = vars(parse(["synth", "--out-dir", "d"]))
+        library = inspect.signature(bovw.synth.generate_preset).parameters
+        for name in ("images_per_class", "size", "seed"):
+            assert synth[name] == library[name].default
 
     def test_crossbase_command_writes_csv(self, tmp_path, micro_corpus):
         manifest = str(micro_corpus.base_dir / "micro.manifest")
