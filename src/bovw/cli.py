@@ -51,8 +51,10 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_grid_flags(p)
     _add_encoding_flags(p)
     p.add_argument("--k", type=_positive, default=harness.PipelineParams.k, help="dictionary size")
-    p.add_argument("--runs", type=_positive, default=5, help="repetitions per configuration")
-    p.add_argument("--seed", type=_seed, default=0, help="base seed; run i uses seed+i")
+    seeds = harness.SplitSpec.run_seeds
+    p.add_argument("--runs", type=_positive, default=len(seeds),
+                   help="repetitions per configuration")
+    p.add_argument("--seed", type=_seed, default=seeds[0], help="base seed; run i uses seed+i")
     p.add_argument("--alpha", type=float, default=harness.PipelineParams.alpha,
                    help="confidence level")
     _add_training_flags(p)

@@ -7,6 +7,7 @@ enumerated in sorted order so class indices are deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -14,6 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 PGM_MAXVAL = 255
+# a PGM header's four tokens, each after any whitespace and comment lines
+_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 
 
 @dataclass(frozen=True)
@@ -135,19 +138,27 @@ def image_size(path: str | Path) -> tuple[int, int]:
 
 def _pgm_header(data: bytes, path: Path) -> tuple[int, int, int]:
     """(width, height, payload offset) of a P5 file's bytes, whose payload
-    must be exactly width x height bytes."""
-    magic, pos = _next_token(data, 0, path)
-    if magic != b"P5":
-        raise ValueError(f"{path}: unsupported format (expected P5, got {magic!r})")
-    width, pos = _int_token(data, pos, path)
-    height, pos = _int_token(data, pos, path)
-    maxval, pos = _int_token(data, pos, path)
+    must be exactly width x height bytes.
+
+    The header is four tokens: the magic, width, height and maxval. Tokens
+    are runs of non-whitespace bytes, separated by whitespace and ``#``
+    comment lines (a ``#`` inside a token belongs to it), and exactly one
+    whitespace byte comes before the payload.
+    """
+    match = _HEADER.match(data)
+    for i, token in enumerate(match.groups()):
+        if not token:
+            raise ValueError(f"{path}: truncated header")
+        if i == 0 and token != b"P5":
+            raise ValueError(f"{path}: unsupported format (expected P5, got {token!r})")
+        if i > 0 and not token.isdigit():
+            raise ValueError(f"{path}: malformed header token {token!r}")
+    width, height, maxval = map(int, match.groups()[1:])
     if maxval != PGM_MAXVAL:
         raise ValueError(f"{path}: unsupported maxval {maxval} (must be {PGM_MAXVAL})")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid dimensions {width}x{height}")
-    # exactly one whitespace byte separates the header from the payload
-    offset, expected = pos + 1, width * height
+    offset, expected = match.end() + 1, width * height
     payload = max(len(data) - offset, 0)
     if payload < expected:
         raise ValueError(f"{path}: truncated payload ({payload} bytes, expected {expected})")
@@ -159,32 +170,6 @@ def _pgm_header(data: bytes, path: Path) -> tuple[int, int, int]:
 def save_image(image: Image, path: str | Path) -> None:
     header = f"P5\n{image.width} {image.height}\n{PGM_MAXVAL}\n".encode("ascii")
     Path(path).write_bytes(header + image.pixels.tobytes())
-
-
-def _next_token(data: bytes, pos: int, path: Path) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines (standard PGM headers allow them)
-    n = len(data)
-    while pos < n:
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            while pos < n and data[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ValueError(f"{path}: truncated header")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
-
-
-def _int_token(data: bytes, pos: int, path: Path) -> tuple[int, int]:
-    token, pos = _next_token(data, pos, path)
-    if not token.isdigit():
-        raise ValueError(f"{path}: malformed header token {token!r}")
-    return int(token), pos
 
 
 def select_classes(

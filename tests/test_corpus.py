@@ -15,6 +15,7 @@ from bovw.corpus import (
     save_image,
     save_manifest,
     select_classes,
+    _pgm_header,
 )
 
 
@@ -138,6 +139,13 @@ class TestImageSize:
         (b"P5\n2 2", "truncated header"),
         (b"P5\n2 2\n255", r"truncated payload \(0 bytes, expected 4\)$"),
         (b"P5\n2 2\n255\n" + bytes(5), "trailing bytes after 4-byte payload"),
+        # a '#' inside a token belongs to the token, not to a comment
+        (b"P5\n2#x 2\n255\n" + bytes(4), "malformed header token b'2#x'$"),
+        (b"P5\n2 2\n255#c\n" + bytes(4), "malformed header token b'255#c'$"),
+        (b"P5\n2 2\n# c", "truncated header$"),
+        # NUL and \x1c are not whitespace bytes (str.isspace takes \x1c)
+        (b"P5\x002 2\n255\n" + bytes(4), r"unsupported format \(expected P5, got b'P5\\x002'\)$"),
+        (b"P5\n2\x1c2 2\n255\n" + bytes(4), r"malformed header token b'2\\x1c2'$"),
     ])
     def test_bad_header_raises_as_load_image_does(self, tmp_path, data, message):
         path = tmp_path / "bad.pgm"
@@ -145,6 +153,36 @@ class TestImageSize:
         for read in (image_size, load_image):
             with pytest.raises(ValueError, match=message):
                 read(path)
+
+    @pytest.mark.parametrize("data, parsed", [
+        (b"P5\x0b2\x0c2\r255\n" + bytes(4), (2, 2, 11)),
+        (b"\n# lead\nP5 2 2 255 " + bytes(4), (2, 2, 19)),
+    ])
+    def test_whitespace_bytes_and_leading_comment(self, tmp_path, data, parsed):
+        path = tmp_path / "ok.pgm"
+        path.write_bytes(data)
+        assert _pgm_header(data, path) == parsed
+        assert image_size(path) == parsed[:2]
+
+    @settings(max_examples=200)
+    @given(
+        width=st.integers(min_value=1, max_value=6),
+        height=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+    )
+    def test_any_separators_parse(self, width, height, data):
+        # save_image's tokens, joined by whitespace runs and '#' comment lines
+        space = st.sampled_from(b" \t\n\r\x0b\x0c").map(lambda c: bytes([c]))
+        blank = st.lists(space, min_size=1, max_size=3).map(b"".join)
+        comment = st.binary(max_size=8).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+        gap = st.lists(st.one_of(blank, comment), max_size=3).map(b"".join)
+        tokens = [b"P5", str(width).encode(), str(height).encode(), b"255"]
+        header = data.draw(gap) + tokens[0]
+        for token in tokens[1:]:  # a token ends at whitespace, so each gap opens with some
+            header += data.draw(blank) + data.draw(gap) + token
+        header += data.draw(space)
+        pgm = header + data.draw(st.binary(min_size=width * height, max_size=width * height))
+        assert _pgm_header(pgm, "h.pgm") == (width, height, len(pgm) - width * height)
 
     def test_payload_length_is_checked(self, tmp_path):
         path = tmp_path / "short.pgm"

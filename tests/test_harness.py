@@ -1313,7 +1313,9 @@ class TestCli:
         assert (_grid(codebook), codebook.k) == (GridParams(), PipelineParams().k)
         for argv in (["crossbase", "--source", "s", "--target", "t", "--ntrain", "3", "--out", "o"],
                      ["sweep", "--source", "s", "--target", "t", "--out", "o"]):
-            assert _pipeline(parse(argv)) == PipelineParams()
+            args = parse(argv)
+            assert _pipeline(args) == PipelineParams()
+            assert tuple(range(args.seed, args.seed + args.runs)) == SplitSpec.run_seeds
         synth = vars(parse(["synth", "--out-dir", "d"]))
         library = inspect.signature(bovw.synth.generate_preset).parameters
         for name in ("images_per_class", "size", "seed"):
