@@ -31,7 +31,7 @@ import numpy as np
 from . import binfile
 
 MODEL_MAGIC = b"BVWM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -231,20 +231,25 @@ def accuracy(model: LinearModel, x: np.ndarray, labels: Sequence[str]) -> float:
     return hits / len(labels)
 
 
-def save_model(model: LinearModel, path: str | Path) -> None:
-    """Binary model file: header with the label table, then per class the
-    k weights followed by the bias, all little-endian float64."""
+def save_model(model: LinearModel, codebook_id: str, path: str | Path) -> None:
+    """Binary model file for ``model``, trained on bag-of-words vectors of
+    codebook ``codebook_id``: header (magic, version, class count, k, codebook
+    id, label table), then per class the k weights followed by the bias, all
+    little-endian float64."""
     n_cls, k = model.weights.shape
     rows = np.hstack([model.weights, model.biases[:, np.newaxis]])
     binfile.write(path, MODEL_MAGIC, MODEL_VERSION, struct.pack("<2I", n_cls, k),
-                  *map(binfile.pack_str, model.labels),
+                  *map(binfile.pack_str, [codebook_id, *model.labels]),
                   np.ascontiguousarray(rows, dtype="<f8"))
 
 
-def load_model(path: str | Path) -> LinearModel:
+def load_model(path: str | Path) -> tuple[LinearModel, str]:
+    """Read a model file back as (model, id of the codebook it was trained on)."""
     reader = binfile.Reader(path, MODEL_MAGIC, MODEL_VERSION, "linear model")
     n_cls, k = reader.fields("<2I")
+    codebook_id = reader.string()
     labels = [reader.string() for _ in range(n_cls)]
     rows = reader.array("<f8", n_cls * (k + 1)).reshape(n_cls, k + 1)
-    return reader.make(LinearModel, weights=rows[:, :k].copy(), biases=rows[:, k].copy(),
-                       labels=labels)
+    model = reader.make(LinearModel, weights=rows[:, :k].copy(), biases=rows[:, k].copy(),
+                        labels=labels)
+    return model, codebook_id

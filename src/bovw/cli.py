@@ -55,8 +55,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=_positive, default=len(seeds),
                    help="repetitions per configuration")
     p.add_argument("--seed", type=_seed, default=seeds[0], help="base seed; run i uses seed+i")
-    p.add_argument("--alpha", type=float, default=harness.PipelineParams.alpha,
-                   help="confidence level")
     _add_training_flags(p)
     p.add_argument("--cache-dir", default=None, help="descriptor cache directory")
     p.add_argument("--out", required=True, help="results CSV path (appended)")
@@ -77,7 +75,6 @@ def _pipeline(args) -> harness.PipelineParams:
         k=args.k,
         c_reg=args.c_reg,
         epochs=args.epochs,
-        alpha=args.alpha,
     )
 
 
@@ -140,27 +137,31 @@ def cmd_encode(args) -> int:
 
 
 def _labelled_bows(args) -> tuple:
-    """The ``--bows`` matrix and its labels, one per row, from ``--manifest``."""
+    """The ``--bows`` matrix, the id of its codebook, and its labels, one per
+    row, from ``--manifest``."""
     manifest = load_manifest(args.manifest)
-    mat, _ = encoding.load_bows(args.bows)
+    mat, codebook_id = encoding.load_bows(args.bows)
     if len(mat) != len(manifest):
         raise ValueError(f"bow file has {len(mat)} rows but manifest has {len(manifest)} entries")
-    return mat, [e.label for e in manifest.entries]
+    return mat, codebook_id, [e.label for e in manifest.entries]
 
 
 def cmd_train(args) -> int:
     harness.check_output_dir(args.out)  # a bad --out fails before any training
-    mat, labels = _labelled_bows(args)
+    mat, codebook_id, labels = _labelled_bows(args)
     cfg = classifier.TrainConfig(c_reg=args.c_reg, epochs=args.epochs, seed=args.seed)
     model = classifier.train_ovr(mat, labels, cfg)
-    classifier.save_model(model, args.out)
+    classifier.save_model(model, codebook_id, args.out)
     print(f"trained {len(model.labels)}-class model -> {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    mat, labels = _labelled_bows(args)
-    model = classifier.load_model(args.model)
+    mat, codebook_id, labels = _labelled_bows(args)
+    model, trained_on = classifier.load_model(args.model)
+    if codebook_id != trained_on:  # scores against another dictionary's words mean nothing
+        raise ValueError(f"{args.bows} is encoded with codebook {codebook_id}, but "
+                         f"{args.model} was trained on codebook {trained_on}")
     acc = classifier.accuracy(model, mat, labels)
     print(f"accuracy\t{acc!r}")
     return 0

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import ClassVar, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -45,37 +45,24 @@ SPLIT_SEED_OFFSET = 104729
 TRAIN_SEED_OFFSET = 1299709
 CLASS_SEED_OFFSET = 15485863
 
-# two-sided Student-t critical values t_{1-alpha/2, df} for df = 1..30;
-# beyond the table, _t_beyond_table expands about the normal quantiles _Z
-_T_TABLE = {
-    0.10: (
-        6.3138, 2.9200, 2.3534, 2.1318, 2.0150, 1.9432, 1.8946, 1.8595,
-        1.8331, 1.8125, 1.7959, 1.7823, 1.7709, 1.7613, 1.7531, 1.7459,
-        1.7396, 1.7341, 1.7291, 1.7247, 1.7207, 1.7171, 1.7139, 1.7109,
-        1.7081, 1.7056, 1.7033, 1.7011, 1.6991, 1.6973,
-    ),
-    0.05: (
-        12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
-        2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
-        2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
-        2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
-    ),
-    0.01: (
-        63.6567, 9.9248, 5.8409, 4.6041, 4.0321, 3.7074, 3.4995, 3.3554,
-        3.2498, 3.1693, 3.1058, 3.0545, 3.0123, 2.9768, 2.9467, 2.9208,
-        2.8982, 2.8784, 2.8609, 2.8453, 2.8314, 2.8188, 2.8073, 2.7969,
-        2.7874, 2.7787, 2.7707, 2.7633, 2.7564, 2.7500,
-    ),
-}
-# statistics.NormalDist().inv_cdf(1 - alpha/2), as constants: importing
+# two-sided Student-t critical values t_{0.975, df} for df = 1..30, the 95%
+# intervals of the protocol; beyond the table, _t_beyond_table expands about
+# the normal quantile _Z
+_T_TABLE = (
+    12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+    2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
+    2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
+    2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
+)
+# statistics.NormalDist().inv_cdf(0.975), as a constant: importing
 # statistics adds about 0.5 MiB to every process
-_Z = {0.10: 1.6448536269514715, 0.05: 1.9599639845400536, 0.01: 2.5758293035489}
+_Z = 1.9599639845400536
 
 
-def _t_beyond_table(alpha: float, df: int) -> float:
-    """t_{1-alpha/2, df}: the four-term Cornish-Fisher expansion about the normal
+def _t_beyond_table(df: int) -> float:
+    """t_{0.975, df}: the four-term Cornish-Fisher expansion about the normal
     quantile (Abramowitz & Stegun 26.7.5), within 1.2e-7 of scipy for df >= 31."""
-    z = _Z[alpha]
+    z = _Z
     terms = ((z**3 + z) / 4,
              (5 * z**5 + 16 * z**3 + 3 * z) / 96,
              (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
@@ -142,7 +129,8 @@ class PipelineParams:
     k: int = 1000
     c_reg: float = TrainConfig.c_reg
     epochs: int = TrainConfig.epochs
-    alpha: float = 0.05
+    # every summary row's interval is 95%; bench/worker.py reads it
+    alpha: ClassVar[float] = 0.05
     workers: int = 1  # bench/worker.py still passes it; it goes with ROADMAP item 1
 
     def __post_init__(self) -> None:
@@ -150,8 +138,6 @@ class PipelineParams:
             raise ValueError("k must be >= 1")
         if self.workers != 1:
             raise ValueError("workers must be 1: trials run one at a time")
-        if self.alpha not in _T_TABLE:
-            raise ValueError(f"alpha must be one of {sorted(_T_TABLE)}")
         TrainConfig(self.c_reg, self.epochs)  # its checks, before any extraction
 
 
@@ -300,16 +286,17 @@ def run_trial(
 def confidence_interval(
     values: Sequence[float], alpha: float = 0.05
 ) -> tuple[float, float, float]:
-    """Mean with a two-sided Student-t confidence interval.
+    """Mean with a two-sided 95% Student-t confidence interval.
 
-    Returns (mean, low, high) = mean -/+ t_{1-alpha/2, n-1} * s / sqrt(n),
-    s the sample standard deviation, or (v, v, v) if all n >= 1 values are
-    v. t comes from an embedded table (df 1..30), Cornish-Fisher beyond.
+    Returns (mean, low, high) = mean -/+ t_{0.975, n-1} * s / sqrt(n), s the
+    sample standard deviation, or (v, v, v) if all n >= 1 values are v. t
+    comes from an embedded table (df 1..30), Cornish-Fisher beyond. ``alpha``
+    must be 0.05, the protocol's level; any other raises ValueError.
     """
     if len(values) < 1:
         raise ValueError("need at least 1 value for a confidence interval")
-    if alpha not in _T_TABLE:
-        raise ValueError(f"alpha must be one of {sorted(_T_TABLE)}")
+    if alpha != 0.05:
+        raise ValueError(f"alpha must be 0.05 (95% intervals), got {alpha!r}")
     arr = np.asarray(values, dtype=np.float64)
     n = len(arr)
     if np.all(arr == arr[0]):
@@ -318,7 +305,7 @@ def confidence_interval(
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
     df = n - 1
-    t = _T_TABLE[alpha][df - 1] if df <= 30 else _t_beyond_table(alpha, df)
+    t = _T_TABLE[df - 1] if df <= 30 else _t_beyond_table(df)
     half = t * s / np.sqrt(n)
     return mean, mean - half, mean + half
 
@@ -330,22 +317,20 @@ def _cores() -> int:
 
 
 def _on_image_threads(fn, jobs: Sequence) -> None:
-    """Call ``fn`` on every job on one thread per core: the calling thread and
-    ``min(cores, jobs) - 1`` helper threads, each taking the next job from one
-    shared iterator, so that each job runs once. Before any job, the first such
-    call pins BLAS to one thread for the rest of the process
-    (``classifier._pin_blas``). The first failed job's exception in job order
-    is raised (an interrupt or exit before any other); after a failure, or an
-    interrupt of the calling thread (also while it joins the helpers), no
-    thread starts another job, and the running ones end before it raises. A
-    plain loop in the calling thread instead, which pins nothing, on one core,
-    for one job or none, or when BLAS cannot be pinned (unpinned image threads
-    were slower than the loop)."""
-    workers = min(_cores(), len(jobs))
-    if workers < 2 or not classifier._pin_blas():
-        for job in jobs:
-            fn(job)
-        return
+    """Call ``fn`` on every job on the calling thread and its helper threads,
+    each taking the next job from one shared iterator, so that each job runs
+    once. There is one helper per further core, up to one per further job, and
+    the first call that starts one pins BLAS to one thread for the rest of the
+    process (``classifier._pin_blas``). There is none, and nothing is pinned,
+    on one core, for one job or none, or when BLAS cannot be pinned (unpinned
+    image threads were slower than one thread). The first failed job's
+    exception in job order is raised (an interrupt or exit before any other);
+    after a failure, or an interrupt of the calling thread (also while it joins
+    the helpers), no thread starts another job, and the running ones end
+    before it raises."""
+    helper_count = min(_cores(), len(jobs)) - 1
+    if helper_count > 0 and not classifier._pin_blas():
+        helper_count = 0
 
     lock = threading.Lock()
     pending = enumerate(jobs)
@@ -369,11 +354,12 @@ def _on_image_threads(fn, jobs: Sequence) -> None:
     helpers: list[threading.Thread] = []
     try:
         first = take()  # taken before any helper starts, so the calling thread runs a job
-        for _ in range(workers - 1):
+        for _ in range(helper_count):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
-        run(*first)
+        if first:
+            run(*first)
         work()
         for helper in helpers:
             helper.join()
@@ -457,7 +443,7 @@ def _experiment(
             per_seed.append([run_trial(cb, target, n, seed, params, bows).accuracy
                              for n in n_train_values])
         for n_train, accs in zip(n_train_values, zip(*per_seed)):
-            mean, low, high = confidence_interval(accs, params.alpha)
+            mean, low, high = confidence_interval(accs)
             rows.append(SummaryRow(
                 experiment, source.name, dict_classes, target.name, n_train, params.k,
                 params.encoding.sigma, params.encoding.assignment, params.encoding.pooling,

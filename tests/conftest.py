@@ -17,13 +17,18 @@ from bovw.harness import DescriptorStore, GridParams
 from bovw.synth import TextureSpec, generate_corpus
 
 
-def run_python(*argv: str, **env: str) -> subprocess.CompletedProcess:
-    """``python ARGV`` in a child process that imports the same package as
-    the tests, installed or not, with ``env`` added to its environment."""
+def child_env(**env: str) -> dict[str, str]:
+    """The environment of a child process that imports the same package as
+    the tests, installed or not, with ``env`` added."""
     src = str(Path(bovw.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def run_python(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``python ARGV`` in a child process, with ``child_env(**env)``."""
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path, **env})
+                          text=True, env=child_env(**env))
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:

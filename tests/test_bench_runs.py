@@ -7,17 +7,26 @@ passes ``PipelineParams(workers=...)`` and a positional ``SplitSpec``, reads
 ``bovw.harness`` and reads their arguments by position or keyword. A change
 to any of these fails here, at the benchmark's tiny size (a few seconds per
 workload and mode). The runs write only under the ignored ``.bench_work/``.
-Every name ``bench/`` imports from ``bovw`` must also resolve, since
-``bench/test_bench.py``, which imports most of them, is not collected here.
+Every name ``bench/`` imports from ``bovw`` must also resolve, and the calls
+that only ``bench/test_bench.py`` makes must still work, since it is not
+collected here.
 """
 
 import ast
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bovw.codebook import build_random_codebook
+from bovw.encoding import EncodingParams, encode_image
+from bovw.features import GridParams, extract_dense_sift
+from bovw.harness import PipelineParams, SummaryRow, confidence_interval
+from bovw.synth import render_texture, textures8_specs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +67,20 @@ def test_every_name_bench_imports_from_bovw_resolves():
         return False
 
     assert [(name, statement) for name, statement in imported if fails(statement)] == []
+
+
+def test_calls_only_bench_test_bench_makes_still_work():
+    # as bench/test_bench.py makes them; bench/worker.py reads params.alpha
+    accs = [0.9, 1.0, 0.95, 1.0, 0.85]
+    mean, low, high = confidence_interval(accs, 0.05)
+    assert (mean, low, high) == confidence_interval(accs) and low < mean < high
+    row = SummaryRow("sweep", "textures8", "8", "textures8", 32, 1000, 60.0, "hard",
+                     "average", 5, 0.975, 0.95, 1.0)
+    assert len(fields(SummaryRow)) == 13 and (row.mean_acc, row.ci_high) == (0.975, 1.0)
+    image = render_texture(textures8_specs()[2], 48, np.random.default_rng(4))
+    descriptors = extract_dense_sift(image, GridParams(), source="img")
+    assert descriptors.source_image == "img"
+    cb = build_random_codebook([descriptors], 16, 1)
+    for params in (EncodingParams(), EncodingParams(assignment="hard", pooling="average")):
+        assert encode_image(descriptors, cb, params).h.shape == (16,)
+    assert PipelineParams().alpha == 0.05

@@ -321,8 +321,9 @@ class TestModelIO:
         x, y = one_hot_toy(seed=13)
         model = train_ovr(x, y, TrainConfig(seed=4))
         path = tmp_path / "m.bin"
-        save_model(model, path)
-        back = load_model(path)
+        save_model(model, "cb-k4-s0", path)
+        back, codebook_id = load_model(path)
+        assert codebook_id == "cb-k4-s0"
         assert back.labels == model.labels
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.biases, model.biases)
@@ -333,11 +334,18 @@ class TestModelIO:
         with pytest.raises(ValueError, match="not a linear model"):
             load_model(path)
 
+    def test_version_1_file_without_a_codebook_id_is_refused(self, tmp_path):
+        path = tmp_path / "m.bin"
+        binfile.write(path, MODEL_MAGIC, 1, struct.pack("<2I", 2, 1),
+                      *map(binfile.pack_str, ["a", "b"]), np.zeros(4, dtype="<f8"))
+        with pytest.raises(ValueError, match="unsupported linear model version 1$"):
+            load_model(path)
+
     @pytest.mark.parametrize("labels", [["b", "a"], ["a", "a"]], ids=["unsorted", "repeated"])
     def test_load_rejects_labels_not_strictly_ascending(self, tmp_path, labels):
         path = tmp_path / "m.bin"
         binfile.write(path, MODEL_MAGIC, MODEL_VERSION, struct.pack("<2I", 2, 3),
-                      *map(binfile.pack_str, labels), np.zeros(8, dtype="<f8"))
+                      *map(binfile.pack_str, ["cb", *labels]), np.zeros(8, dtype="<f8"))
         with pytest.raises(ValueError, match="strictly ascending"):
             load_model(path)
 

@@ -38,7 +38,7 @@ def save_bows_file(path):
 
 
 def save_model_file(path):
-    save_model(LinearModel(np.ones((2, 3)), np.zeros(2), ["a", "bé"]), path)
+    save_model(LinearModel(np.ones((2, 3)), np.zeros(2), ["a", "bé"]), "cb-ü", path)
 
 
 FORMATS = {
@@ -56,7 +56,7 @@ SHA256 = {
     "cache": "846eac5bcced800a6992012dd21c30b5d503c6fc8a942166eff86aff94c76988",
     "codebook": "653ddd144efe15c7e2291b88de44b37a3d560bf5ea636e29023570b502b844f8",
     "bows": "664fb2a9893c08b2e48601ffbc172634c4e1f3928e61ac5302dd7c5b4a7ea588",
-    "model": "b7adedf2c4e42440f77be9075941367074527be640c1255db0899003f8387714",
+    "model": "96340c7265753615b36aa9113d6ca6a5876095f7f4c67baa6bf539bfc5bd03ee",
 }
 
 
@@ -136,7 +136,8 @@ CONTENT_FAULTS = {
         load_codebook, "codebook needs at least one word"),
     "model-labels-descending": (
         lambda path: binfile.write(path, MODEL_MAGIC, MODEL_VERSION, struct.pack("<2I", 2, 1),
-                                   *map(binfile.pack_str, ["b", "a"]), np.zeros(4, dtype="<f8")),
+                                   *map(binfile.pack_str, ["cb", "b", "a"]),
+                                   np.zeros(4, dtype="<f8")),
         load_model, "labels must be strictly ascending"),
     "string-not-utf8": (
         lambda path: binfile.write(path, CODEBOOK_MAGIC, CODEBOOK_VERSION,

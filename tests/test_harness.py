@@ -6,7 +6,9 @@ import logging
 import re
 import shlex
 import shutil
+import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -57,10 +59,10 @@ from bovw.harness import (
     split_balanced,
     write_summary_csv,
 )
-from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, render_texture
+from bovw.synth import CORPUS_PRESETS, TextureSpec, generate_corpus, generate_preset, render_texture
 
 from blas_probe import blas_threads
-from conftest import MICRO_SPECS, random_descriptor_set, run_cli, run_python
+from conftest import MICRO_SPECS, child_env, random_descriptor_set, run_cli, run_python
 
 
 @pytest.fixture
@@ -143,8 +145,10 @@ class TestConfidenceInterval:
             confidence_interval([])
 
     def test_unsupported_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            confidence_interval([0.1, 0.2], alpha=0.07)
+        # every interval is 95%: the 90% and 99% levels went with their t-table rows
+        for alpha in (0.07, 0.10, 0.01, 0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match=r"alpha must be 0\.05 \(95% intervals\)"):
+                confidence_interval([0.1, 0.2], alpha)
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(0)
@@ -156,17 +160,20 @@ class TestConfidenceInterval:
     def test_table_matches_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(1)
-        for alpha in (0.10, 0.05, 0.01):
-            for n in (2, 3, 5, 8, 20, 31, 32, 40, 100, 1000):
-                vals = rng.uniform(0, 1, n).tolist()
-                mean, low, high = confidence_interval(vals, alpha=alpha)
-                t = scipy_stats.t.ppf(1 - alpha / 2, n - 1)
-                s = np.std(vals, ddof=1)
-                assert high - mean == pytest.approx(t * s / np.sqrt(n), rel=2e-4)
+        for n in (2, 3, 5, 8, 20, 31, 32, 40, 100, 1000):
+            vals = rng.uniform(0, 1, n).tolist()
+            mean, low, high = confidence_interval(vals)
+            t = scipy_stats.t.ppf(0.975, n - 1)
+            s = np.std(vals, ddof=1)
+            assert high - mean == pytest.approx(t * s / np.sqrt(n), rel=2e-4)
 
     def test_pipeline_params_reject_unsupported_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            PipelineParams(alpha=0.07)
+        # the level is a class constant, not a field: no alpha can be passed
+        assert "alpha" not in {f.name for f in fields(PipelineParams)}
+        assert PipelineParams.alpha == PipelineParams().alpha == 0.05
+        for alpha in (0.05, 0.07):
+            with pytest.raises(TypeError, match="alpha"):
+                PipelineParams(alpha=alpha)
 
     @pytest.mark.parametrize("c_reg", [float("nan"), float("inf")])
     def test_pipeline_params_reject_non_finite_c_reg(self, c_reg):
@@ -174,10 +181,9 @@ class TestConfidenceInterval:
             PipelineParams(c_reg=c_reg)
 
     def test_normal_quantiles_are_the_standard_library_values(self):
-        for alpha, z in bovw.harness._Z.items():
-            assert z == NormalDist().inv_cdf(1 - alpha / 2)
+        assert bovw.harness._Z == NormalDist().inv_cdf(0.975)
 
-    @pytest.mark.parametrize("alpha, t", [(0.10, 1.6849), (0.05, 2.0227), (0.01, 2.7079)])
+    @pytest.mark.parametrize("alpha, t", [(0.05, 2.0227)])
     def test_large_n_uses_student_t_beyond_the_table(self, alpha, t):
         # n = 40, df = 39: printed t tables, not the normal limit
         vals = [0.0, 1.0] * 20
@@ -1257,6 +1263,28 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("accuracy\t")
 
+    def test_eval_refuses_bows_of_another_codebook(self, tmp_path, micro_corpus, micro_store):
+        # a model file names the codebook of the bows it was trained on
+        manifest = str(micro_corpus.base_dir / "micro.manifest")
+        sets, ids = micro_store.pool(micro_corpus), []
+        for seed in (0, 1):
+            cb = build_random_codebook(sets, 16, seed, "micro")
+            bows = encode_rows(np.empty((len(sets), cb.k)), sets, cb, EncodingParams())
+            save_bows(bows, cb.codebook_id, tmp_path / f"bows{seed}.bin")
+            ids.append(cb.codebook_id)
+        model = tmp_path / "model.bin"
+        out = run_cli("train", "--bows", str(tmp_path / "bows0.bin"), "--manifest", manifest,
+                      "--out", str(model))
+        assert out.returncode == 0, out.stderr
+        out = run_cli("eval", "--bows", str(tmp_path / "bows1.bin"), "--manifest", manifest,
+                      "--model", str(model))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (f"bovw eval: error: {tmp_path / 'bows1.bin'} is encoded with "
+                              f"codebook {ids[1]}, but {model} was trained on codebook {ids[0]}\n")
+        out = run_cli("eval", "--bows", str(tmp_path / "bows0.bin"), "--manifest", manifest,
+                      "--model", str(model))
+        assert out.returncode == 0 and out.stdout.startswith("accuracy\t"), out.stderr
+
     @pytest.mark.parametrize("classes, seed", [(1, 0), (2, 3), (2, 4)])
     def test_codebook_classes_prints_the_chosen_classes(self, tmp_path, micro_corpus, classes,
                                                         seed):
@@ -1287,7 +1315,7 @@ class TestCli:
 
     def test_experiment_defaults_match_protocol(self):
         # the documented defaults: stride 6, patch 16, k 1000, sigma 60,
-        # soft assignment, max pooling, 5 runs, alpha 0.05
+        # soft assignment, max pooling, 5 runs, 95% intervals
         from bovw.cli import build_parser
 
         args = build_parser().parse_args(
@@ -1295,7 +1323,7 @@ class TestCli:
         )
         assert (args.stride, args.patch, args.k) == (6, 16, 1000)
         assert (args.sigma, args.assignment, args.pooling) == (60.0, "soft", "max")
-        assert (args.runs, args.alpha) == (5, 0.05)
+        assert (args.runs, PipelineParams.alpha) == (5, 0.05)
         sweep = build_parser().parse_args(
             ["sweep", "--source", "s", "--target", "t", "--out", "o"]
         )
@@ -1351,14 +1379,17 @@ class TestCli:
         ]
 
     def test_unsupported_alpha_fails_before_any_trial(self, tmp_path, micro_corpus):
+        # every interval is 95%: --alpha is no option, whatever its value
         manifest = str(micro_corpus.base_dir / "micro.manifest")
-        out = run_cli("-v", "crossbase", "--source", manifest, "--target", manifest,
-                      "--ntrain", "3", "--k", "12", "--runs", "2", "--alpha", "0.07",
-                      "--out", str(tmp_path / "res.csv"))
-        assert out.returncode != 0
-        assert "alpha must be one of" in out.stderr
-        assert "trial seed=" not in out.stderr
-        assert not (tmp_path / "res.csv").exists()
+        for command in ("crossbase", "sweep"):
+            out = run_cli("-v", command, "--source", manifest, "--target", manifest,
+                          "--ntrain", "3", "--k", "12", "--runs", "2", "--alpha", "0.05",
+                          "--cache-dir", str(tmp_path / "cache"),
+                          "--out", str(tmp_path / "res.csv"))
+            assert out.returncode == 2 and out.stdout == ""
+            assert out.stderr.startswith("usage: bovw ")
+            assert out.stderr.endswith("bovw: error: unrecognized arguments: --alpha 0.05\n")
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["crossbase", "--ntrain", "3", "--epochs", "0"], "epochs must be >= 1"),
@@ -1641,6 +1672,45 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr == (f"bovw train: error: bow file has 1 rows but manifest has "
                               f"{len(micro_corpus)} entries\n")
+
+    def test_a_run_killed_at_its_first_pool_reruns_to_a_fresh_runs_csv(self, tmp_path):
+        # SIGKILL once the target's pool is cached, as the source's extraction
+        # starts: the rerun loads or rewrites what the kill left and writes the same rows
+        manifests = [generate_preset(tmp_path / corpus, corpus, images_per_class=4, size=size,
+                                     seed=seed).base_dir / f"{corpus}.manifest"
+                     for corpus, size, seed in (("textures3", 48, 1), ("textures8", 160, 2))]
+
+        def argv(run: str) -> list[str]:
+            (tmp_path / run).mkdir(exist_ok=True)
+            return ["crossbase", "--target", str(manifests[0]), "--source", str(manifests[1]),
+                    "--ntrain", "1,2", "--k", "50", "--runs", "2",
+                    "--cache-dir", str(tmp_path / run / "cache"),
+                    "--out", str(tmp_path / run / "res.csv")]
+
+        with subprocess.Popen([sys.executable, "-m", "bovw", "-v", *argv("killed")],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              env=child_env()) as child:
+            logged = []
+            for line in child.stderr:
+                logged.append(line)
+                if line.startswith("INFO bovw.harness: pool "):
+                    child.kill()
+                    break
+        assert child.returncode == -signal.SIGKILL, "".join(logged)
+        assert not (tmp_path / "killed" / "res.csv").exists()
+        rerun, fresh = run_cli(*argv("killed")), run_cli(*argv("fresh"))
+        assert rerun.returncode == fresh.returncode == 0, rerun.stderr + fresh.stderr
+        assert rerun.stdout == fresh.stdout
+        assert (tmp_path / "killed" / "res.csv").read_bytes() == (
+            tmp_path / "fresh" / "res.csv").read_bytes()
+        cache, fresh_cache = tmp_path / "killed" / "cache", tmp_path / "fresh" / "cache"
+        left = [p.name for p in cache.iterdir() if p.suffix != ".desc"]
+        assert all(re.fullmatch(r"[0-9a-f]{40}\.desc\.[0-9a-f]{32}\.tmp", n) for n in left), left
+        descs = sorted(p.name for p in cache.glob("*.desc"))
+        assert descs == sorted(p.name for p in fresh_cache.iterdir()) and len(descs) == 44
+        for name in descs:
+            load_descriptor_cache(cache / name, GridParams())
+            assert (cache / name).read_bytes() == (fresh_cache / name).read_bytes()
 
     def test_readme_desk_csvs_pinned(self, tmp_path, monkeypatch):
         # the README's desk recipe, through cli.main; the digests hold at the
