@@ -49,7 +49,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearModel:
     weights: np.ndarray  # (C, k) float64
     biases: np.ndarray  # (C,) float64

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import classifier, codebook, encoding, harness, synth
-from .corpus import load_manifest
+from .corpus import load_manifest, select_classes
 from .features import GridParams
 
 
@@ -105,9 +105,7 @@ def cmd_codebook(args) -> int:
     codebook.check_seed(args.seed)  # saved in the file: a seed it cannot hold fails first
     manifest = load_manifest(args.manifest)
     if args.classes is not None:
-        manifest = harness.select_classes(
-            manifest, args.classes, args.seed + harness.CLASS_SEED_OFFSET
-        )
+        manifest = select_classes(manifest, args.classes, args.seed + harness.CLASS_SEED_OFFSET)
     harness.check_output_dir(args.out)  # a bad --out, --k or image fails before any extraction
     store = harness.DescriptorStore(_grid(args), cache_dir=args.cache_dir)
     (pool,) = store.pools([manifest], [args.k])
@@ -299,7 +297,3 @@ def main(argv: list[str] | None = None) -> int:
         # bad input or an unreadable file, reported like argparse's bad flags
         print(f"bovw {args.command}: error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

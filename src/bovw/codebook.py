@@ -29,7 +29,7 @@ CODEBOOK_MAGIC = b"BVWC"
 CODEBOOK_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """k visual words (byte descriptors) plus sampling provenance."""
 

@@ -19,7 +19,7 @@ PGM_MAXVAL = 255
 _HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
     """8-bit grayscale raster stored as a (height, width) uint8 array."""
 

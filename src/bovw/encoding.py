@@ -71,7 +71,7 @@ class EncodingParams:
             raise ValueError(f"pooling must be one of {POOLINGS}")
 
 
-@dataclass
+@dataclass(eq=False)
 class BowVector:
     """Pooled k-dimensional representation of one image."""
 

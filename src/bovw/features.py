@@ -77,7 +77,7 @@ class GridParams:
                              f"got {self.patch_size}")
 
 
-@dataclass
+@dataclass(eq=False)
 class DescriptorSet:
     """A ``width`` x ``height`` image's byte descriptors, one per point of its
     dense ``grid`` in grid order; ``keypoints`` derives the points."""

@@ -20,6 +20,12 @@ from .corpus import DatasetManifest, Image, ManifestEntry, load_manifest, save_i
 
 TEXTURE_KINDS = ("grating", "plaid", "checker")
 
+# every class shares these: the signal's amplitude in gray levels, and the
+# per-image jitter of its frequency (relative) and orientation (degrees)
+AMPLITUDE = 80.0
+FREQ_JITTER = 0.08
+ORIENT_JITTER_DEG = 3.0
+
 
 @dataclass(frozen=True)
 class TextureSpec:
@@ -34,9 +40,6 @@ class TextureSpec:
     kind: str
     frequency: float  # cycles per pixel
     orientation_deg: float
-    amplitude: float = 80.0
-    freq_jitter: float = 0.08  # relative
-    orient_jitter_deg: float = 3.0
     noise_sigma: float = 12.0
 
     def __post_init__(self) -> None:
@@ -48,10 +51,8 @@ class TextureSpec:
 
 def render_texture(spec: TextureSpec, size: int, rng: np.random.Generator) -> Image:
     """One noisy sample of the texture class at the given square size."""
-    theta = np.deg2rad(
-        spec.orientation_deg + spec.orient_jitter_deg * rng.uniform(-1.0, 1.0)
-    )
-    freq = spec.frequency * (1.0 + spec.freq_jitter * rng.uniform(-1.0, 1.0))
+    theta = np.deg2rad(spec.orientation_deg + ORIENT_JITTER_DEG * rng.uniform(-1.0, 1.0))
+    freq = spec.frequency * (1.0 + FREQ_JITTER * rng.uniform(-1.0, 1.0))
     phase = rng.uniform(0.0, 2.0 * np.pi)
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     u = np.cos(theta) * xs + np.sin(theta) * ys
@@ -65,7 +66,7 @@ def render_texture(spec: TextureSpec, size: int, rng: np.random.Generator) -> Im
         )
         if spec.kind == "checker":
             signal = np.sign(signal)
-    gray = 127.5 + spec.amplitude * signal
+    gray = 127.5 + AMPLITUDE * signal
     gray += rng.normal(0.0, spec.noise_sigma, size=gray.shape)
     return Image(pixels=np.clip(np.round(gray), 0, 255).astype(np.uint8))
 

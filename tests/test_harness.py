@@ -397,6 +397,20 @@ class TestExperiments:
                                      store=micro_store, include_native=False)
         assert rows[0].n_runs == 5
 
+    def test_each_run_seed_samples_its_own_dictionary(self, micro_corpus, micro_store,
+                                                      micro_params, caplog):
+        # the protocol's runs are independent: one dictionary per run seed and curve
+        half_a = DatasetManifest("half_a", micro_corpus.entries[0::2], micro_corpus.base_dir)
+        half_b = DatasetManifest("half_b", micro_corpus.entries[1::2], micro_corpus.base_dir)
+        spec = SplitSpec(n_train_per_class=2, run_seeds=(0, 1, 2))
+        caplog.set_level(logging.INFO, logger="bovw.harness")
+        cross_base_experiment(half_a, half_b, [2], spec, micro_params, store=micro_store)
+        ids = {"half_a": [], "half_b": []}
+        for r in caplog.records:
+            if m := re.fullmatch(r"dictionary (\S+) from (\S+) \(.*\)", r.getMessage()):
+                ids[m[2]].append(m[1])
+        assert [len(set(v)) for v in ids.values()] == [len(spec.run_seeds)] * 2, ids
+
     @pytest.mark.parametrize("experiment", ["crossbase", "sweep"])
     def test_target_encoded_once_per_dictionary(self, micro_corpus, micro_store, micro_params,
                                                 monkeypatch, experiment):
@@ -1211,6 +1225,15 @@ class TestSynth:
             generate_corpus(tmp_path, CORPUS_PRESETS["textures3"](), images_per_class,
                             size=size, name="s")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("textures8", "995915a9e3abedc34df4b2d0e8afa12e22f7e95cf2feec476a126d0eca05c37b"),
+        ("textures3", "66070adb2e3eda467dd7e10ef9dda75d328e002ff78854f67d9c0cee8c942506"),
+    ])
+    def test_preset_pixels_pinned(self, tmp_path, preset, digest):
+        m = generate_preset(tmp_path, preset, images_per_class=2, size=32, seed=0)
+        pixels = b"".join(load_image(m.resolve(e)).pixels.tobytes() for e in m.entries)
+        assert hashlib.sha256(pixels).hexdigest() == digest
 
     def test_presets_have_expected_classes(self):
         assert len(CORPUS_PRESETS["textures8"]()) == 8
